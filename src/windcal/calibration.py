@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egpd import EgpdParams, egpd_cdf, egpd_quantile
+from .egpd import EgpdParams, egpd_cdf, egpd_quantile, gpd_isf, gpd_log_sf
 from .errors import DomainError
 
 
@@ -25,7 +25,6 @@ class EmpiricalCdf:
 
     values: np.ndarray
     n_missing: int = 0
-    rule: str = "hazen"  # (k - 0.5)/n positions, linear interpolation
 
     @classmethod
     def from_sample(cls, sample) -> "EmpiricalCdf":
@@ -103,21 +102,25 @@ def conditional_calibrate(x, px: EgpdParams, py: EgpdParams):
 
 
 def conditional_calibrate_flagged(x, px: EgpdParams, py: EgpdParams):
-    """Like conditional_calibrate but also returns the clamp indicator(s).
-
-    The map is computed in a fused expm1/log1p form rather than by composing
-    egpd_cdf and egpd_quantile, which keeps full precision near the
-    endpoints (in particular identical laws give back x to ~1e-15 relative).
-    """
+    """Like conditional_calibrate but also returns the clamp indicator(s)."""
     x = np.asarray(x, dtype=float)
-    clamped = x > px.delta
-    xc = np.minimum(x, px.delta)
-    bx = np.maximum(1.0 - xc / px.delta, 0.0)
-    with np.errstate(divide="ignore"):
-        s = np.exp(np.log(bx) * (-1.0 / px.xi))       # 1 - H_x(x)
-        t = -np.expm1((px.kappa / py.kappa) * np.log1p(-s))  # 1 - u**(1/kappa_y)
-        value = py.delta * -np.expm1(np.log(t) * (-py.xi))
-    value = np.clip(value, 0.0, py.delta)
+    value, clamped = conditional_map(x, px.delta, px.xi, px.kappa, py.delta, py.xi, py.kappa)
     if x.ndim == 0:
         return float(value), bool(clamped)
     return np.asarray(value), clamped
+
+
+def conditional_map(x, delta_x, xi_x, kappa_x, delta_y, xi_y, kappa_y):
+    """Per-cell map from source EGPD (x) to target EGPD (y) laws, and clamp flags.
+
+    Broadcasts over all arguments.  Values above the source endpoint are
+    clamped to it.  The map is computed in a fused expm1/log1p form rather
+    than by composing egpd_cdf and egpd_quantile, which keeps full precision
+    near the endpoints (in particular identical laws give back x to ~1e-15
+    relative).
+    """
+    clamped = x > delta_x
+    s = np.exp(gpd_log_sf(np.minimum(x, delta_x), delta_x, xi_x))  # 1 - H_x(x)
+    with np.errstate(divide="ignore"):
+        t = -np.expm1((kappa_x / kappa_y) * np.log1p(-s))  # 1 - u**(1/kappa_y)
+    return np.clip(gpd_isf(t, delta_y, xi_y), 0.0, delta_y), clamped

@@ -253,6 +253,10 @@ def run(cfg: RunConfig) -> int:
     t_start = time.time()
     net = load_network(cfg.stations)
     panel = load_panel(cfg.observed, cfg.simulated, net)
+    bad_days = [day for day in cfg.figure_days if not 0 <= day < panel.n_times]
+    if bad_days:
+        raise DataValidationError(
+            f"figure_days {bad_days} outside the panel's days 0..{panel.n_times - 1}")
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     draws = None
@@ -406,9 +410,7 @@ def _cmd_simulate(args) -> int:
     obs_ids = [net.ids[i] for i in net.observed_indices]
     write_panel_csv(os.path.join(args.out_dir, "observed.csv"), panel.y, obs_ids, panel.dates)
     write_panel_csv(os.path.join(args.out_dir, "simulated.csv"), panel.x, net.ids, panel.dates)
-    record = {k: getattr(truth, k) for k in
-              ("beta_y", "beta_x", "kappa_y", "kappa_x", "xi_y", "xi_x",
-               "alpha", "tau_w", "tau_z", "shift_y", "shift_x")}
+    record = {k: getattr(truth, k) for k in SCALAR_NAMES + ("shift_y", "shift_x")}
     record["seed"] = args.seed
     record["missing_rate"] = args.missing_rate
     with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:

@@ -3,6 +3,7 @@
 CSV schemas:
   stations file   station_id,x_km,y_km,observed      (observed in {0,1})
   panel files     station_id,date,value              (long form, YYYY-MM-DD;
+                                                      finite values only;
                                                       missing = absent row,
                                                       observed panel only)
 """
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .egpd import egpd_draw
 from .errors import DataValidationError, DomainError
 from .latent import (
     StationNetwork,
@@ -23,6 +26,7 @@ from .latent import (
     sample_spatial_field,
     spatial_correlation,
 )
+from .model import rates
 
 
 @dataclass
@@ -65,6 +69,8 @@ def load_network(path) -> StationNetwork:
                 flag = int(row["observed"])
             except ValueError as exc:
                 raise DataValidationError(f"stations file line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, coords[-1])):
+                raise DataValidationError(f"stations file line {lineno}: non-finite coordinate")
             if flag not in (0, 1):
                 raise DataValidationError(f"stations file line {lineno}: observed must be 0 or 1")
             observed.append(bool(flag))
@@ -91,6 +97,8 @@ def _read_long_panel(path, valid_ids):
                 val = float(row["value"])
             except ValueError as exc:
                 raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
+            if not math.isfinite(val):
+                raise DataValidationError(f"{path} line {lineno}: non-finite value {val}")
             if val < 0:
                 raise DataValidationError(f"{path} line {lineno}: negative value {val}")
             key = (sid, row["date"])
@@ -192,18 +200,10 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
     w = sample_spatial_field(factor, truth.tau_w, rng)
     z = sample_rw1_constrained(n_times, truth.tau_z, rng)
     obs = net.observed_indices
-    lam_y = np.exp(truth.beta_y + w[obs][:, None] + z[None, :])
-    lam_x = np.exp(truth.beta_x + w[:, None] + z[None, :])
-    delta_y = truth.shift_y + rng.exponential(1.0 / lam_y)
-    delta_x = truth.shift_x + rng.exponential(1.0 / lam_x)
-
-    def egpd_draws(delta, xi, kappa):
-        u = rng.uniform(size=delta.shape)
-        vals = delta * (1.0 - (1.0 - u ** (1.0 / kappa)) ** (-xi))
-        return np.clip(vals, delta * 1e-12, delta * (1.0 - 1e-12))
-
-    y = egpd_draws(delta_y, truth.xi_y, truth.kappa_y)
-    x = egpd_draws(delta_x, truth.xi_x, truth.kappa_x)
+    delta_y = truth.shift_y + rng.exponential(1.0 / rates(truth.beta_y, w[obs], z))
+    delta_x = truth.shift_x + rng.exponential(1.0 / rates(truth.beta_x, w, z))
+    y = egpd_draw(rng, delta_y, truth.xi_y, truth.kappa_y)
+    x = egpd_draw(rng, delta_x, truth.xi_x, truth.kappa_x)
     if missing_rate > 0:
         drop = rng.uniform(size=y.shape) < missing_rate
         # keep at least one observation per station so empirical baselines work

@@ -19,10 +19,6 @@ from .errors import DomainError
 # catastrophic cancellation in (1 + xi*y/sigma)**(-1/xi).
 XI_EXP_SWITCH = 1e-8
 
-# Only the power form G(u) = u**kappa is supported; slot kept so other
-# G families can be added without changing call sites.
-SUPPORTED_G_FAMILIES = ("power",)
-
 
 @dataclass(frozen=True)
 class GpdParams:
@@ -52,7 +48,6 @@ class EgpdParams:
     delta: float
     xi: float
     kappa: float
-    g_family: str = "power"
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and np.isfinite(self.xi) and np.isfinite(self.kappa)):
@@ -63,8 +58,6 @@ class EgpdParams:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.xi >= 0:
             raise DomainError(f"endpoint form requires xi < 0, got {self.xi}")
-        if self.g_family not in SUPPORTED_G_FAMILIES:
-            raise DomainError(f"unsupported G family {self.g_family!r}")
 
     @property
     def sigma(self) -> float:
@@ -98,14 +91,20 @@ def gpd_cdf(y, p: GpdParams):
 def egpd_cdf(y, p: EgpdParams):
     """EGPD CDF (1 - (1 - y/delta)_+**(-1/xi))**kappa; 1 for y >= delta."""
     y = _check_data(y)
-    # endpoint-form GPD CDF; the positive-part clamp makes values at or
-    # beyond delta exactly 1 rather than NaN, and the expm1/log form keeps
-    # full precision when base**(-1/xi) is close to 1
-    base = np.maximum(1.0 - y / p.delta, 0.0)
-    with np.errstate(divide="ignore"):
-        h = -np.expm1(np.log(base) * (-1.0 / p.xi))
+    # the expm1 form keeps full precision when the GPD survival is close to 1
+    h = -np.expm1(gpd_log_sf(y, p.delta, p.xi))
     out = np.clip(h, 0.0, 1.0) ** p.kappa
     return out if out.ndim else float(out)
+
+
+def gpd_log_sf(y, delta, xi):
+    """Log survival of the endpoint-form GPD, log((1 - y/delta)_+**(-1/xi)).
+
+    The positive-part clamp gives -inf (survival 0) at and beyond delta
+    rather than NaN.  Broadcasts over all arguments.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(1.0 - y / delta, 0.0)) * (-1.0 / xi)
 
 
 def egpd_quantile(u, p: EgpdParams):
@@ -113,12 +112,24 @@ def egpd_quantile(u, p: EgpdParams):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)) or np.any(u < 0) or np.any(u > 1):
         raise DomainError("u must lie in [0, 1]")
+    out = np.clip(egpd_quantile_kernel(u, p.delta, p.xi, p.kappa), 0.0, p.delta)
+    return out if out.ndim else float(out)
+
+
+def egpd_quantile_kernel(u, delta, xi, kappa):
+    """Unchecked inverse CDF, broadcasting over all arguments."""
     # expm1/log forms avoid cancellation in 1 - u**(1/kappa) near both ends
     with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log(u) / p.kappa)
-        out = p.delta * -np.expm1(np.log(inner) * (-p.xi))
-    out = np.clip(out, 0.0, p.delta)
-    return out if out.ndim else float(out)
+        return gpd_isf(-np.expm1(np.log(u) / kappa), delta, xi)
+
+
+def gpd_isf(tail, delta, xi):
+    """Endpoint-form GPD value whose survival probability is ``tail``.
+
+    delta * (1 - tail**(-xi)) in expm1/log form; broadcasts over all arguments.
+    """
+    with np.errstate(divide="ignore"):
+        return delta * -np.expm1(np.log(tail) * (-xi))
 
 
 def egpd_logpdf(y, p: EgpdParams):
@@ -126,17 +137,27 @@ def egpd_logpdf(y, p: EgpdParams):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("y must be finite")
-    inside = (y > 0.0) & (y < p.delta)
-    base = np.where(inside, 1.0 - y / p.delta, 0.5)  # placeholder outside support
-    # GPD density in endpoint form: h(y) = (1/sigma) * (1 - y/delta)**(-1/xi - 1)
-    log_h = -math.log(p.sigma) + (-1.0 / p.xi - 1.0) * np.log(base)
-    log_big_h = np.log1p(-base ** (-1.0 / p.xi))
-    out = np.where(
-        inside,
-        math.log(p.kappa) + log_h + (p.kappa - 1.0) * log_big_h,
-        -np.inf,
-    )
+    out = egpd_logpdf_kernel(y, p.delta, p.xi, p.kappa)
     return out if out.ndim else float(out)
+
+
+def egpd_logpdf_kernel(y, delta, xi, kappa):
+    """Unchecked log density, broadcasting over ``y``, ``delta`` and ``xi``; -inf off support."""
+    inside = (y > 0.0) & (y < delta)
+    base = np.where(inside, 1.0 - y / delta, 0.5)  # placeholder outside support
+    # GPD density in endpoint form: h(y) = (1/sigma) * (1 - y/delta)**(-1/xi - 1)
+    log_h = -np.log(-xi * delta) + (-1.0 / xi - 1.0) * np.log(base)
+    log_big_h = np.log1p(-base ** (-1.0 / xi))
+    return np.where(inside, math.log(kappa) + log_h + (kappa - 1.0) * log_big_h, -np.inf)
+
+
+def egpd_draw(rng, delta, xi, kappa):
+    """One draw per cell of ``delta``, kept strictly inside the open support (0, delta)."""
+    u = rng.uniform(size=np.shape(delta))
+    vals = delta * (1.0 - (1.0 - u ** (1.0 / kappa)) ** (-xi))
+    # rounding can otherwise land exactly on 0 or the endpoint and zero out
+    # the likelihood
+    return np.clip(vals, delta * 1e-12, delta * (1.0 - 1e-12))
 
 
 def egpd_sample(n: int, p: EgpdParams, rng) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +24,16 @@ _JITTER_MAX = 1e-6
 
 @dataclass(frozen=True)
 class StationNetwork:
-    """Station ids, planar km coordinates, and the pairwise distance matrix.
+    """Station ids, planar km coordinates, and the observed-station mask.
 
     ``observed`` marks the N <= N_s stations that carry observations.
-    Distances are rescaled by the maximum pairwise distance before the
-    correlation range alpha (supported on (0.1, 0.5)) is applied.
+    Distances are Euclidean, derived from the coordinates, and rescaled by
+    the maximum pairwise distance before the correlation range alpha
+    (supported on (0.1, 0.5)) is applied.
     """
 
     ids: tuple
     coords: np.ndarray          # (N_s, 2), km
-    distances: np.ndarray       # (N_s, N_s), km
     observed: np.ndarray        # (N_s,) bool
 
     @classmethod
@@ -43,28 +44,17 @@ class StationNetwork:
             raise DataValidationError("coords must be (N_s, 2)")
         if len(ids) != coords.shape[0] or observed.shape[0] != coords.shape[0]:
             raise DataValidationError("ids, coords and observed mask must align")
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=-1))
-        return cls(ids=tuple(ids), coords=coords, distances=d, observed=observed)
+        return cls(ids=tuple(ids), coords=coords, observed=observed)
 
-    def __post_init__(self):
-        d = self.distances
-        n = d.shape[0]
-        if d.shape != (n, n):
-            raise DataValidationError("distance matrix must be square")
-        if not np.allclose(d, d.T, atol=1e-9):
-            raise DataValidationError("distance matrix must be symmetric")
-        if not np.allclose(np.diag(d), 0.0):
-            raise DataValidationError("distance matrix diagonal must be zero")
-        # triangle inequality, vectorized over all (i, j, k)
-        if n <= 400:
-            viol = d[:, None, :] + d[None, :, :] - d[:, :, None]
-            if np.min(viol) < -1e-6:
-                raise DataValidationError("distance matrix violates the triangle inequality")
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(N_s, N_s) pairwise Euclidean distances, km."""
+        diff = self.coords[:, None, :] - self.coords[None, :, :]
+        return np.sqrt((diff ** 2).sum(axis=-1))
 
     @property
     def n_total(self) -> int:
-        return self.distances.shape[0]
+        return len(self.ids)
 
     @property
     def n_observed(self) -> int:
@@ -114,11 +104,6 @@ class CholFactor:
     logdet: float  # log det of the correlation matrix
     jitter: float
 
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_solve
-
-        return cho_solve((self.lower, True), x)
-
     def quad_form(self, w: np.ndarray) -> float:
         from scipy.linalg import solve_triangular
 
@@ -145,18 +130,19 @@ def cholesky_correlation(corr: np.ndarray, alpha_label: float | None = None) -> 
             step *= 10.0
 
 
-def spatial_logdensity(w, alpha: float, tau_w: float, d, family: str = "disc",
-                       factor: CholFactor | None = None) -> float:
+def spatial_logdensity(w, alpha: float, tau_w: float, d, family: str = "disc") -> float:
     """Exact MVN(0, corr/tau_w) log-density including the normalizing constant."""
     w = np.asarray(w, dtype=float)
     if tau_w <= 0:
         raise DomainError(f"tau_w must be positive, got {tau_w}")
-    if factor is None:
-        factor = cholesky_correlation(spatial_correlation(d, alpha, family), alpha_label=alpha)
-    n = w.size
-    quad = factor.quad_form(w)
+    factor = cholesky_correlation(spatial_correlation(d, alpha, family), alpha_label=alpha)
+    return spatial_logdensity_from_quad(w.size, tau_w, factor.logdet, factor.quad_form(w))
+
+
+def spatial_logdensity_from_quad(n: int, tau_w: float, logdet: float, quad: float) -> float:
+    """MVN(0, corr/tau_w) log-density of an n-vector w from log det(corr) and w' corr^-1 w."""
     return -0.5 * n * math.log(2.0 * math.pi) + 0.5 * n * math.log(tau_w) \
-        - 0.5 * factor.logdet - 0.5 * tau_w * quad
+        - 0.5 * logdet - 0.5 * tau_w * quad
 
 
 def sample_spatial_field(factor: CholFactor, tau_w: float, rng) -> np.ndarray:
@@ -177,6 +163,11 @@ def rw1_eigenvalues(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(math.pi * k / n)
 
 
+def rw1_quad_form(z) -> float:
+    """RW1 quadratic form z' K z = sum of squared first differences."""
+    return float(np.sum(np.diff(z) ** 2))
+
+
 def rw1_logdensity(z, tau_z: float) -> float:
     """Sum-to-zero constrained intrinsic RW1 log-density (normalized).
 
@@ -186,8 +177,11 @@ def rw1_logdensity(z, tau_z: float) -> float:
     z = np.asarray(z, dtype=float)
     if tau_z <= 0:
         raise DomainError(f"tau_z must be positive, got {tau_z}")
-    n = z.size
-    quad = float(np.sum(np.diff(z) ** 2))
+    return rw1_logdensity_from_quad(z.size, tau_z, rw1_quad_form(z))
+
+
+def rw1_logdensity_from_quad(n: int, tau_z: float, quad: float) -> float:
+    """Constrained RW1 log-density of a centred n-vector z from its quadratic form."""
     logdet = float(np.sum(np.log(rw1_eigenvalues(n)))) if n > 1 else 0.0
     return 0.5 * (n - 1) * math.log(tau_z / (2.0 * math.pi)) + 0.5 * logdet \
         - 0.5 * tau_z * quad

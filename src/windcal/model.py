@@ -10,22 +10,23 @@ burn-in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, gammaln, logit
 
-from .draws import PosteriorDraws
+from .draws import SCALAR_NAMES, PosteriorDraws
+from .egpd import egpd_draw, egpd_logpdf_kernel
 from .errors import DataValidationError, DomainError, NumericalError
 from .latent import (
     CholFactor,
     cholesky_correlation,
-    rw1_eigenvalues,
-    rw1_logdensity,
+    rw1_logdensity_from_quad,
+    rw1_quad_form,
     sample_rw1_constrained,
     sample_spatial_field,
     spatial_correlation,
-    spatial_logdensity,
+    spatial_logdensity_from_quad,
     StationNetwork,
 )
 
@@ -55,8 +56,6 @@ class McmcConfig:
     thinning: int = 5
     chains: int = 1
     seed: int = 0
-    adapt: bool = True
-    target_accept: float = TARGET_ACCEPT
 
     def __post_init__(self):
         if self.thinning < 1:
@@ -88,22 +87,52 @@ class ModelState:
     delta_y: np.ndarray  # (N, T)
     delta_x: np.ndarray  # (N_s, T)
 
-    SCALAR_NAMES = ("beta_y", "beta_x", "kappa_y", "kappa_x",
-                    "xi_y", "xi_x", "alpha", "tau_w", "tau_z")
-
     def copy(self) -> "ModelState":
         return replace(self, w=self.w.copy(), z=self.z.copy(),
                        delta_y=self.delta_y.copy(), delta_x=self.delta_x.copy())
 
 
-def _egpd_logpdf_grid(vals, delta, xi, kappa):
-    """Elementwise EGPD log-density with per-cell endpoints; -inf off support."""
-    inside = (vals > 0.0) & (vals < delta)
-    base = np.where(inside, 1.0 - vals / delta, 0.5)
-    sigma = -xi * delta
-    log_h = -np.log(sigma) + (-1.0 / xi - 1.0) * np.log(base)
-    log_big_h = np.log1p(-base ** (-1.0 / xi))
-    return np.where(inside, math.log(kappa) + log_h + (kappa - 1.0) * log_big_h, -np.inf)
+@dataclass(frozen=True, eq=False)
+class Margin:
+    """One panel of the joint model and the ModelState slots of its EGPD margin.
+
+    The observed panel ("y") covers the observed stations and may miss
+    cells; the simulated panel ("x") is complete and covers every station.
+    """
+
+    name: str
+    data: np.ndarray          # panel values, a placeholder in missing cells
+    mask: np.ndarray | None   # True where a value exists; None for a complete panel
+    shift: float              # start of the shifted-exponential endpoint prior
+    rows: np.ndarray          # station index of each panel row
+    beta: str
+    kappa: str
+    xi: str
+    delta: str
+
+    @classmethod
+    def of(cls, name: str, values, shift: float, rows) -> "Margin":
+        missing = np.isnan(values)
+        mask = ~missing if missing.any() else None
+        data = values if mask is None else np.where(mask, values, 0.5)
+        return cls(name, data, mask, shift, rows,
+                   f"beta_{name}", f"kappa_{name}", f"xi_{name}", f"delta_{name}")
+
+    def params(self, state: ModelState):
+        """(delta, xi, kappa) of this margin in ``state``."""
+        return getattr(state, self.delta), getattr(state, self.xi), getattr(state, self.kappa)
+
+    def loglik(self, delta, xi, kappa):
+        """Per-cell EGPD log-likelihood; 0 in missing cells."""
+        grid = egpd_logpdf_kernel(self.data, delta, xi, kappa)
+        return grid if self.mask is None else np.where(self.mask, grid, 0.0)
+
+
+def rates(beta, w_rows, z):
+    """Endpoint-prior rates lambda(i, j) = exp(beta + w_i + z_j) for the given station rows."""
+    eta = beta + w_rows[:, None] + z[None, :]
+    with np.errstate(over="ignore"):
+        return np.exp(eta)
 
 
 def _gamma_logpdf(x, shape, rate):
@@ -138,14 +167,10 @@ class HierarchicalModel:
             raise DataValidationError("simulated panel must be complete")
         if np.any(y[~np.isnan(y)] < 0) or np.min(x) < 0:
             raise DataValidationError("panel values must be nonnegative")
+        if np.all(np.isnan(y)):
+            raise DataValidationError("observed panel has no data")
 
         self.net = net
-        self.y = y
-        self.x = x
-        self.y_mask = ~np.isnan(y)
-        if not self.y_mask.any():
-            raise DataValidationError("observed panel has no data")
-        self.y_filled = np.where(self.y_mask, y, 0.5)  # placeholder under mask
         # defaulted shifts sit at the panel maxima; explicit shifts may be
         # below them (the likelihood still enforces delta > every datum)
         self.shift_y = float(np.nanmax(y)) if shift_y is None else float(shift_y)
@@ -156,20 +181,24 @@ class HierarchicalModel:
         self.obs_idx = net.observed_indices
         self.n_obs, self.n_total = y.shape[0], x.shape[0]
         self.n_times = y.shape[1]
+        self.replace_data(y, x)
+
+    def replace_data(self, y, x) -> None:
+        """Swap the panels in place, keeping the shifts.
+
+        The caller guarantees the new data respects the fixed shifts.
+        """
+        self.y = np.asarray(y, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+        self.y_mask = ~np.isnan(self.y)
+        self.margins = (Margin.of("y", self.y, self.shift_y, self.obs_idx),
+                        Margin.of("x", self.x, self.shift_x, np.arange(self.n_total)))
 
     # -- correlation factor ------------------------------------------------
 
     def chol_factor(self, alpha: float) -> CholFactor:
         corr = spatial_correlation(self.d, alpha, self.family)
         return cholesky_correlation(corr, alpha_label=alpha)
-
-    # -- per-cell endpoint-rate plumbing ------------------------------------
-
-    def rates(self, beta, w_rows, z):
-        """lambda(i, j) = exp(beta + w_i + z_j) for the given station rows."""
-        eta = beta + w_rows[:, None] + z[None, :]
-        with np.errstate(over="ignore"):
-            return np.exp(eta)
 
     def delta_prior_grid(self, lam, delta, shift):
         """Shifted-exponential log-densities per cell; -inf where delta <= shift."""
@@ -180,45 +209,49 @@ class HierarchicalModel:
 
     # -- likelihood / prior / posterior --------------------------------------
 
-    def loglik_y_grid(self, state: ModelState):
-        grid = _egpd_logpdf_grid(self.y_filled, state.delta_y, state.xi_y, state.kappa_y)
-        return np.where(self.y_mask, grid, 0.0)
-
-    def loglik_x_grid(self, state: ModelState):
-        return _egpd_logpdf_grid(self.x, state.delta_x, state.xi_x, state.kappa_x)
-
     def log_likelihood(self, state: ModelState) -> float:
         if not self._in_box(state):
             return -np.inf
-        return float(self.loglik_y_grid(state).sum() + self.loglik_x_grid(state).sum())
+        return float(sum(mg.loglik(*mg.params(state)).sum() for mg in self.margins))
 
     def _in_box(self, state: ModelState) -> bool:
         p = self.priors
-        return (state.kappa_y > 0 and state.kappa_x > 0
-                and p.xi_low < state.xi_y < p.xi_high
-                and p.xi_low < state.xi_x < p.xi_high
+        return (all(getattr(state, mg.kappa) > 0 and p.xi_low < getattr(state, mg.xi) < p.xi_high
+                    for mg in self.margins)
                 and p.alpha_low < state.alpha < p.alpha_high
                 and state.tau_w > 0 and state.tau_z > 0)
 
-    def log_prior(self, state: ModelState, factor: CholFactor | None = None) -> float:
-        p = self.priors
+    def log_prior(self, state: ModelState) -> float:
         if not self._in_box(state):
             return -np.inf
-        out = _normal_logpdf(state.beta_y, p.beta_mean, p.beta_precision)
-        out += _normal_logpdf(state.beta_x, p.beta_mean, p.beta_precision)
-        out += _gamma_logpdf(state.kappa_y, p.kappa_shape, p.kappa_rate)
-        out += _gamma_logpdf(state.kappa_x, p.kappa_shape, p.kappa_rate)
-        out -= 2.0 * math.log(p.xi_high - p.xi_low)
+        factor = self.chol_factor(state.alpha)
+        grids = [self.delta_prior_grid(rates(getattr(state, mg.beta), state.w[mg.rows], state.z),
+                                       getattr(state, mg.delta), mg.shift)
+                 for mg in self.margins]
+        return self.prior_terms(state, factor.logdet, factor.quad_form(state.w),
+                                rw1_quad_form(state.z), grids)
+
+    def prior_terms(self, state: ModelState, logdet_w, quad_w, quad_z, endpoint_grids) -> float:
+        """Log-prior of an in-box state given its latent-field pieces.
+
+        ``logdet_w`` and ``quad_w`` are log det(R) and w' R^-1 w for the
+        spatial correlation R; ``quad_z`` is the RW1 quadratic form and
+        ``endpoint_grids`` the per-margin endpoint-prior grids.  log_prior
+        computes them from scratch, the sampler passes its cached ones.
+        """
+        p = self.priors
+        out = 0.0
+        for mg in self.margins:
+            out += _normal_logpdf(getattr(state, mg.beta), p.beta_mean, p.beta_precision)
+        for mg in self.margins:
+            out += _gamma_logpdf(getattr(state, mg.kappa), p.kappa_shape, p.kappa_rate)
+        out -= len(self.margins) * math.log(p.xi_high - p.xi_low)
         out += _gamma_logpdf(state.tau_w, p.tau_shape, p.tau_rate)
         out += _gamma_logpdf(state.tau_z, p.tau_shape, p.tau_rate)
         out -= math.log(p.alpha_high - p.alpha_low)
-        out += spatial_logdensity(state.w, state.alpha, state.tau_w, self.d,
-                                  self.family, factor=factor)
-        out += rw1_logdensity(state.z, state.tau_z)
-        lam_y = self.rates(state.beta_y, state.w[self.obs_idx], state.z)
-        lam_x = self.rates(state.beta_x, state.w, state.z)
-        out += float(self.delta_prior_grid(lam_y, state.delta_y, self.shift_y).sum())
-        out += float(self.delta_prior_grid(lam_x, state.delta_x, self.shift_x).sum())
+        out += spatial_logdensity_from_quad(state.w.size, state.tau_w, logdet_w, quad_w)
+        out += rw1_logdensity_from_quad(state.z.size, state.tau_z, quad_z)
+        out += float(sum(grid.sum() for grid in endpoint_grids))
         return out
 
     def log_posterior(self, state: ModelState) -> float:
@@ -232,48 +265,27 @@ class HierarchicalModel:
     def sample_prior_state(self, rng) -> ModelState:
         """Forward draw of every unknown given the fixed shifts."""
         p = self.priors
-        beta_y = rng.normal(p.beta_mean, 1.0 / math.sqrt(p.beta_precision))
-        beta_x = rng.normal(p.beta_mean, 1.0 / math.sqrt(p.beta_precision))
-        kappa_y = rng.gamma(p.kappa_shape, 1.0 / p.kappa_rate)
-        kappa_x = rng.gamma(p.kappa_shape, 1.0 / p.kappa_rate)
-        xi_y = rng.uniform(p.xi_low, p.xi_high)
-        xi_x = rng.uniform(p.xi_low, p.xi_high)
+        draw = {}
+        for mg in self.margins:
+            draw[mg.beta] = rng.normal(p.beta_mean, 1.0 / math.sqrt(p.beta_precision))
+        for mg in self.margins:
+            draw[mg.kappa] = rng.gamma(p.kappa_shape, 1.0 / p.kappa_rate)
+        for mg in self.margins:
+            draw[mg.xi] = rng.uniform(p.xi_low, p.xi_high)
         alpha = rng.uniform(p.alpha_low, p.alpha_high)
         tau_w = rng.gamma(p.tau_shape, 1.0 / p.tau_rate)
         tau_z = rng.gamma(p.tau_shape, 1.0 / p.tau_rate)
-        factor = self.chol_factor(alpha)
-        w = sample_spatial_field(factor, tau_w, rng)
+        w = sample_spatial_field(self.chol_factor(alpha), tau_w, rng)
         z = sample_rw1_constrained(self.n_times, tau_z, rng)
-        lam_y = self.rates(beta_y, w[self.obs_idx], z)
-        lam_x = self.rates(beta_x, w, z)
-        delta_y = self.shift_y + rng.exponential(1.0 / lam_y)
-        delta_x = self.shift_x + rng.exponential(1.0 / lam_x)
-        return ModelState(beta_y, beta_x, kappa_y, kappa_x, xi_y, xi_x,
-                          alpha, tau_w, tau_z, w, z, delta_y, delta_x)
+        for mg in self.margins:
+            lam = rates(draw[mg.beta], w[mg.rows], z)
+            draw[mg.delta] = mg.shift + rng.exponential(1.0 / lam)
+        return ModelState(alpha=alpha, tau_w=tau_w, tau_z=tau_z, w=w, z=z, **draw)
 
     def sample_panels(self, state: ModelState, rng):
         """Draw (y, x) panels from the EGPD cells of the given state."""
-        u_y = rng.uniform(size=state.delta_y.shape)
-        u_x = rng.uniform(size=state.delta_x.shape)
-        y = state.delta_y * (1.0 - (1.0 - u_y ** (1.0 / state.kappa_y)) ** (-state.xi_y))
-        x = state.delta_x * (1.0 - (1.0 - u_x ** (1.0 / state.kappa_x)) ** (-state.xi_x))
-        # keep draws strictly inside the open support; rounding can otherwise
-        # land exactly on 0 or the endpoint and zero out the likelihood
-        y = np.clip(y, state.delta_y * 1e-12, state.delta_y * (1.0 - 1e-12))
-        x = np.clip(x, state.delta_x * 1e-12, state.delta_x * (1.0 - 1e-12))
-        y = np.where(self.y_mask, y, np.nan)
-        return y, x
-
-    def replace_data(self, y, x) -> None:
-        """Swap the panels in place (simulation-based sampler checks only).
-
-        The caller guarantees the new data respects the fixed shifts.
-        """
-        y = np.asarray(y, dtype=float)
-        self.y = y
-        self.y_mask = ~np.isnan(y)
-        self.y_filled = np.where(self.y_mask, y, 0.5)
-        self.x = np.asarray(x, dtype=float)
+        y, x = (egpd_draw(rng, *mg.params(state)) for mg in self.margins)
+        return np.where(self.y_mask, y, np.nan), x
 
     # -- initialization ---------------------------------------------------------
 
@@ -318,69 +330,47 @@ def _log_jac_box(t, lo, hi):
 class MwgSampler:
     """Adaptive single-site Metropolis-within-Gibbs over a HierarchicalModel.
 
-    Update order per sweep is fixed: betas, kappas, xis, alpha, taus,
-    each spatial site, each day (with recentring), then both endpoint
-    panels in one vectorized block each.
+    Update order per sweep is fixed: betas, kappas, xis (each y then x),
+    alpha, taus, each spatial site, each day (with recentring), then both
+    endpoint panels in one vectorized block each.
     """
 
-    SCALAR_BLOCKS = ("beta_y", "beta_x", "kappa_y", "kappa_x",
-                     "xi_y", "xi_x", "alpha", "tau_w", "tau_z")
-
-    def __init__(self, model: HierarchicalModel, state: ModelState, rng,
-                 target_accept: float = TARGET_ACCEPT):
+    def __init__(self, model: HierarchicalModel, state: ModelState, rng):
         self.model = model
         self.state = state.copy()
         self.rng = rng
-        self.target = target_accept
         self.adapting = True
         self.iteration = 0
-        m = model
-        self.log_scales = {name: math.log(0.1) for name in self.SCALAR_BLOCKS}
-        self.log_scales["w"] = np.full(m.n_total, math.log(0.3))
-        self.log_scales["z"] = np.full(m.n_times, math.log(0.3))
-        self.log_scales["delta_y"] = math.log(1.0)
-        self.log_scales["delta_x"] = math.log(1.0)
-        self.accept_counts = {k: 0.0 for k in list(self.SCALAR_BLOCKS) + ["w", "z", "delta_y", "delta_x"]}
-        self.proposal_counts = {k: 0.0 for k in self.accept_counts}
+        self.log_scales = {name: math.log(0.1) for name in SCALAR_NAMES}
+        self.log_scales["w"] = np.full(model.n_total, math.log(0.3))
+        self.log_scales["z"] = np.full(model.n_times, math.log(0.3))
+        for mg in model.margins:
+            self.log_scales[mg.delta] = math.log(1.0)
+        self.accept_counts = {k: 0.0 for k in self.log_scales}
+        self.proposal_counts = {k: 0.0 for k in self.log_scales}
         self.refresh_cache()
 
-    # cached pieces of the log-posterior; every update maintains them
+    # cached pieces of the log-posterior, per margin name; every update
+    # maintains them
     def refresh_cache(self):
         m, s = self.model, self.state
         self.factor = m.chol_factor(s.alpha)
         self.quad_w = self.factor.quad_form(s.w)
-        self.quad_z = float(np.sum(np.diff(s.z) ** 2))
-        self.lam_y = m.rates(s.beta_y, s.w[m.obs_idx], s.z)
-        self.lam_x = m.rates(s.beta_x, s.w, s.z)
-        self.prior_dy = m.delta_prior_grid(self.lam_y, s.delta_y, m.shift_y)
-        self.prior_dx = m.delta_prior_grid(self.lam_x, s.delta_x, m.shift_x)
-        self.ll_y = m.loglik_y_grid(s)
-        self.ll_x = m.loglik_x_grid(s)
-        if not (np.isfinite(self.prior_dy.sum()) and np.isfinite(self.prior_dx.sum())
-                and np.isfinite(self.ll_y.sum()) and np.isfinite(self.ll_x.sum())):
-            raise NumericalError("non-finite log-posterior component at sampler start")
+        self.quad_z = rw1_quad_form(s.z)
+        self.lam, self.prior, self.ll = {}, {}, {}
+        for mg in m.margins:
+            k = mg.name
+            self.lam[k] = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
+            self.prior[k] = m.delta_prior_grid(self.lam[k], getattr(s, mg.delta), mg.shift)
+            self.ll[k] = mg.loglik(*mg.params(s))
+            if not (np.isfinite(self.prior[k].sum()) and np.isfinite(self.ll[k].sum())):
+                raise NumericalError("non-finite log-posterior component at sampler start")
 
     def log_posterior(self) -> float:
-        m, s = self.model, self.state
-        p = m.priors
-        out = _normal_logpdf(s.beta_y, p.beta_mean, p.beta_precision)
-        out += _normal_logpdf(s.beta_x, p.beta_mean, p.beta_precision)
-        out += _gamma_logpdf(s.kappa_y, p.kappa_shape, p.kappa_rate)
-        out += _gamma_logpdf(s.kappa_x, p.kappa_shape, p.kappa_rate)
-        out -= 2.0 * math.log(p.xi_high - p.xi_low)
-        out += _gamma_logpdf(s.tau_w, p.tau_shape, p.tau_rate)
-        out += _gamma_logpdf(s.tau_z, p.tau_shape, p.tau_rate)
-        out -= math.log(p.alpha_high - p.alpha_low)
-        n = s.w.size
-        out += -0.5 * n * math.log(2 * math.pi) + 0.5 * n * math.log(s.tau_w) \
-            - 0.5 * self.factor.logdet - 0.5 * s.tau_w * self.quad_w
-        t = s.z.size
-        logdet_z = float(np.sum(np.log(rw1_eigenvalues(t)))) if t > 1 else 0.0
-        out += 0.5 * (t - 1) * math.log(s.tau_z / (2 * math.pi)) + 0.5 * logdet_z \
-            - 0.5 * s.tau_z * self.quad_z
-        out += float(self.prior_dy.sum() + self.prior_dx.sum())
-        out += float(self.ll_y.sum() + self.ll_x.sum())
-        return out
+        margins = self.model.margins
+        out = self.model.prior_terms(self.state, self.factor.logdet, self.quad_w, self.quad_z,
+                                     [self.prior[mg.name] for mg in margins])
+        return out + float(sum(self.ll[mg.name].sum() for mg in margins))
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -390,7 +380,7 @@ class MwgSampler:
         if not self.adapting:
             return
         gamma = (self.iteration + 1) ** -0.6
-        move = gamma * (float(np.mean(accepted)) - self.target)
+        move = gamma * (float(np.mean(accepted)) - TARGET_ACCEPT)
         if idx is None:
             if isinstance(self.log_scales[name], np.ndarray):
                 self.log_scales[name] += move
@@ -406,87 +396,62 @@ class MwgSampler:
 
     # -- scalar updates -----------------------------------------------------------
 
-    def _update_beta(self, which: str):
+    def _update_beta(self, mg: Margin):
         m, s = self.model, self.state
         p = m.priors
-        cur = getattr(s, which)
-        prop = cur + math.exp(self.log_scales[which]) * self.rng.standard_normal()
-        if which == "beta_y":
-            lam_new = m.rates(prop, s.w[m.obs_idx], s.z)
-            prior_new = m.delta_prior_grid(lam_new, s.delta_y, m.shift_y)
-            delta_sum = prior_new.sum() - self.prior_dy.sum()
-        else:
-            lam_new = m.rates(prop, s.w, s.z)
-            prior_new = m.delta_prior_grid(lam_new, s.delta_x, m.shift_x)
-            delta_sum = prior_new.sum() - self.prior_dx.sum()
-        log_ratio = delta_sum \
+        cur = getattr(s, mg.beta)
+        prop = cur + math.exp(self.log_scales[mg.beta]) * self.rng.standard_normal()
+        lam_new = rates(prop, s.w[mg.rows], s.z)
+        prior_new = m.delta_prior_grid(lam_new, getattr(s, mg.delta), mg.shift)
+        log_ratio = prior_new.sum() - self.prior[mg.name].sum() \
             + _normal_logpdf(prop, p.beta_mean, p.beta_precision) \
             - _normal_logpdf(cur, p.beta_mean, p.beta_precision)
         acc = self._accept(log_ratio)
         if acc:
-            setattr(s, which, prop)
-            if which == "beta_y":
-                self.lam_y, self.prior_dy = lam_new, prior_new
-            else:
-                self.lam_x, self.prior_dx = lam_new, prior_new
-        self._adapt(which, acc)
+            setattr(s, mg.beta, prop)
+            self.lam[mg.name], self.prior[mg.name] = lam_new, prior_new
+        self._adapt(mg.beta, acc)
 
-    def _update_kappa(self, which: str):
+    def _update_kappa(self, mg: Margin):
         m, s = self.model, self.state
         p = m.priors
-        cur = getattr(s, which)
-        prop = cur * math.exp(math.exp(self.log_scales[which]) * self.rng.standard_normal())
+        cur = getattr(s, mg.kappa)
+        prop = cur * math.exp(math.exp(self.log_scales[mg.kappa]) * self.rng.standard_normal())
         if prop <= 0 or not np.isfinite(prop):
-            self._adapt(which, False)
+            self._adapt(mg.kappa, False)
             return
-        if which == "kappa_y":
-            ll_new = np.where(m.y_mask,
-                              _egpd_logpdf_grid(m.y_filled, s.delta_y, s.xi_y, prop), 0.0)
-            delta_ll = ll_new.sum() - self.ll_y.sum()
-        else:
-            ll_new = _egpd_logpdf_grid(m.x, s.delta_x, s.xi_x, prop)
-            delta_ll = ll_new.sum() - self.ll_x.sum()
-        log_ratio = delta_ll \
+        delta, xi, _ = mg.params(s)
+        ll_new = mg.loglik(delta, xi, prop)
+        log_ratio = ll_new.sum() - self.ll[mg.name].sum() \
             + _gamma_logpdf(prop, p.kappa_shape, p.kappa_rate) \
             - _gamma_logpdf(cur, p.kappa_shape, p.kappa_rate) \
             + math.log(prop) - math.log(cur)  # log-scale Jacobian
         acc = self._accept(log_ratio)
         if acc:
-            setattr(s, which, prop)
-            if which == "kappa_y":
-                self.ll_y = ll_new
-            else:
-                self.ll_x = ll_new
-        self._adapt(which, acc)
+            setattr(s, mg.kappa, prop)
+            self.ll[mg.name] = ll_new
+        self._adapt(mg.kappa, acc)
 
-    def _update_xi(self, which: str):
+    def _update_xi(self, mg: Margin):
         m, s = self.model, self.state
         p = m.priors
-        cur = getattr(s, which)
+        cur = getattr(s, mg.xi)
         t_cur = _logit_box(cur, p.xi_low, p.xi_high)
-        t_prop = t_cur + math.exp(self.log_scales[which]) * self.rng.standard_normal()
+        t_prop = t_cur + math.exp(self.log_scales[mg.xi]) * self.rng.standard_normal()
         prop = _expit_box(t_prop, p.xi_low, p.xi_high)
         if not (p.xi_low < prop < p.xi_high):
-            self._adapt(which, False)
+            self._adapt(mg.xi, False)
             return
-        if which == "xi_y":
-            ll_new = np.where(m.y_mask,
-                              _egpd_logpdf_grid(m.y_filled, s.delta_y, prop, s.kappa_y), 0.0)
-            delta_ll = ll_new.sum() - self.ll_y.sum()
-        else:
-            ll_new = _egpd_logpdf_grid(m.x, s.delta_x, prop, s.kappa_x)
-            delta_ll = ll_new.sum() - self.ll_x.sum()
-        log_ratio = delta_ll \
+        delta, _, kappa = mg.params(s)
+        ll_new = mg.loglik(delta, prop, kappa)
+        log_ratio = ll_new.sum() - self.ll[mg.name].sum() \
             + _log_jac_box(t_prop, p.xi_low, p.xi_high) \
             - _log_jac_box(t_cur, p.xi_low, p.xi_high)
         acc = self._accept(log_ratio)
         if acc:
-            setattr(s, which, prop)
-            if which == "xi_y":
-                self.ll_y = ll_new
-            else:
-                self.ll_x = ll_new
-        self._adapt(which, acc)
+            setattr(s, mg.xi, prop)
+            self.ll[mg.name] = ll_new
+        self._adapt(mg.xi, acc)
 
     def _update_alpha(self):
         m, s = self.model, self.state
@@ -522,10 +487,9 @@ class MwgSampler:
         if prop <= 0 or not np.isfinite(prop):
             self._adapt(which, False)
             return
-        if which == "tau_w":
-            n_eff, quad = s.w.size, self.quad_w
-        else:
-            n_eff, quad = s.z.size - 1, self.quad_z
+        # (degrees of freedom, quadratic form) of the field this precision scales
+        n_eff, quad = {"tau_w": (s.w.size, self.quad_w),
+                       "tau_z": (s.z.size - 1, self.quad_z)}[which]
         log_ratio = 0.5 * n_eff * (math.log(prop) - math.log(cur)) \
             - 0.5 * quad * (prop - cur) \
             + _gamma_logpdf(prop, p.tau_shape, p.tau_rate) \
@@ -540,32 +504,33 @@ class MwgSampler:
 
     def _update_w(self):
         m, s = self.model, self.state
-        obs_row = {int(site): r for r, site in enumerate(m.obs_idx)}
+        # x before y: the order of the float sum in log_ratio is part of what
+        # makes fixed-seed outputs reproducible
+        row_of = [(mg, {int(site): r for r, site in enumerate(mg.rows)})
+                  for mg in reversed(m.margins)]
         for i in range(m.n_total):
             step = math.exp(self.log_scales["w"][i]) * self.rng.standard_normal()
             w_new = s.w.copy()
             w_new[i] += step
             quad_new = self.factor.quad_form(w_new)
             log_ratio = -0.5 * s.tau_w * (quad_new - self.quad_w)
-            lam_x_row = m.rates(s.beta_x, w_new[i:i + 1], s.z)[0]
-            prior_x_row = m.delta_prior_grid(lam_x_row[None, :], s.delta_x[i:i + 1],
-                                             m.shift_x)[0]
-            log_ratio += prior_x_row.sum() - self.prior_dx[i].sum()
-            r = obs_row.get(i)
-            if r is not None:
-                lam_y_row = m.rates(s.beta_y, w_new[i:i + 1], s.z)[0]
-                prior_y_row = m.delta_prior_grid(lam_y_row[None, :], s.delta_y[r:r + 1],
-                                                 m.shift_y)[0]
-                log_ratio += prior_y_row.sum() - self.prior_dy[r].sum()
+            new_rows = []
+            for mg, rows in row_of:
+                r = rows.get(i)
+                if r is None:
+                    continue
+                lam_row = rates(getattr(s, mg.beta), w_new[i:i + 1], s.z)[0]
+                prior_row = m.delta_prior_grid(lam_row[None, :], getattr(s, mg.delta)[r:r + 1],
+                                               mg.shift)[0]
+                log_ratio += prior_row.sum() - self.prior[mg.name][r].sum()
+                new_rows.append((mg.name, r, lam_row, prior_row))
             acc = self._accept(log_ratio)
             if acc:
                 s.w = w_new
                 self.quad_w = quad_new
-                self.lam_x[i] = lam_x_row
-                self.prior_dx[i] = prior_x_row
-                if r is not None:
-                    self.lam_y[r] = lam_y_row
-                    self.prior_dy[r] = prior_y_row
+                for k, r, lam_row, prior_row in new_rows:
+                    self.lam[k][r] = lam_row
+                    self.prior[k][r] = prior_row
             self._adapt("w", acc, idx=i)
 
     def _update_z(self):
@@ -577,80 +542,60 @@ class MwgSampler:
             dz = np.full(t, -eps / t)
             dz[j] += eps
             z_new = s.z + dz
-            quad_new = float(np.sum(np.diff(z_new) ** 2))
+            quad_new = rw1_quad_form(z_new)
             scale = np.exp(dz)
-            lam_y_new = self.lam_y * scale[None, :]
-            lam_x_new = self.lam_x * scale[None, :]
-            prior_dy_new = m.delta_prior_grid(lam_y_new, s.delta_y, m.shift_y)
-            prior_dx_new = m.delta_prior_grid(lam_x_new, s.delta_x, m.shift_x)
-            log_ratio = -0.5 * s.tau_z * (quad_new - self.quad_z) \
-                + prior_dy_new.sum() - self.prior_dy.sum() \
-                + prior_dx_new.sum() - self.prior_dx.sum()
+            log_ratio = -0.5 * s.tau_z * (quad_new - self.quad_z)
+            lam_new, prior_new = {}, {}
+            for mg in m.margins:
+                k = mg.name
+                lam_new[k] = self.lam[k] * scale[None, :]
+                prior_new[k] = m.delta_prior_grid(lam_new[k], getattr(s, mg.delta), mg.shift)
+                log_ratio = log_ratio + prior_new[k].sum() - self.prior[k].sum()
             acc = self._accept(log_ratio)
             if acc:
                 s.z = z_new
                 self.quad_z = quad_new
-                self.lam_y, self.lam_x = lam_y_new, lam_x_new
-                self.prior_dy, self.prior_dx = prior_dy_new, prior_dx_new
+                self.lam, self.prior = lam_new, prior_new
             self._adapt("z", acc, idx=j)
 
     # -- endpoint panels -------------------------------------------------------------
 
-    def _update_delta(self, which: str):
+    def _update_delta(self, mg: Margin):
         m, s = self.model, self.state
-        if which == "delta_y":
-            delta, shift, lam = s.delta_y, m.shift_y, self.lam_y
-            ll, prior = self.ll_y, self.prior_dy
-        else:
-            delta, shift, lam = s.delta_x, m.shift_x, self.lam_x
-            ll, prior = self.ll_x, self.prior_dx
-        v = np.log(delta - shift)
-        v_new = v + math.exp(self.log_scales[which]) * self.rng.standard_normal(v.shape)
+        k = mg.name
+        delta, xi, kappa = mg.params(s)
+        lam, ll, prior = self.lam[k], self.ll[k], self.prior[k]
+        v = np.log(delta - mg.shift)
+        v_new = v + math.exp(self.log_scales[mg.delta]) * self.rng.standard_normal(v.shape)
         gap_new = np.exp(v_new)
         ok = gap_new > 0  # reject proposals that underflow the shift gap
-        delta_new = shift + gap_new
-        if which == "delta_y":
-            ll_new = np.where(m.y_mask,
-                              _egpd_logpdf_grid(m.y_filled, delta_new, s.xi_y, s.kappa_y), 0.0)
-        else:
-            ll_new = _egpd_logpdf_grid(m.x, delta_new, s.xi_x, s.kappa_x)
-        prior_new = m.delta_prior_grid(lam, delta_new, shift)
+        delta_new = mg.shift + gap_new
+        ll_new = mg.loglik(delta_new, xi, kappa)
+        prior_new = m.delta_prior_grid(lam, delta_new, mg.shift)
         with np.errstate(invalid="ignore"):
             log_ratio = (ll_new - ll) + (prior_new - prior) + (v_new - v)
         log_u = np.log(self.rng.uniform(size=v.shape))
         acc = ok & np.isfinite(log_ratio) & (log_u < log_ratio)
-        delta_out = np.where(acc, delta_new, delta)
-        if which == "delta_y":
-            s.delta_y = delta_out
-            self.ll_y = np.where(acc, ll_new, ll)
-            self.prior_dy = np.where(acc, prior_new, prior)
-        else:
-            s.delta_x = delta_out
-            self.ll_x = np.where(acc, ll_new, ll)
-            self.prior_dx = np.where(acc, prior_new, prior)
-        self._adapt(which, acc)
+        setattr(s, mg.delta, np.where(acc, delta_new, delta))
+        self.ll[k] = np.where(acc, ll_new, ll)
+        self.prior[k] = np.where(acc, prior_new, prior)
+        self._adapt(mg.delta, acc)
 
     # -- one sweep --------------------------------------------------------------------
 
     def sweep(self):
-        self._update_beta("beta_y")
-        self._update_beta("beta_x")
-        self._update_kappa("kappa_y")
-        self._update_kappa("kappa_x")
-        self._update_xi("xi_y")
-        self._update_xi("xi_x")
+        margins = self.model.margins
+        for update in (self._update_beta, self._update_kappa, self._update_xi):
+            for mg in margins:
+                update(mg)
         self._update_alpha()
         self._update_tau("tau_w")
         self._update_tau("tau_z")
         self._update_w()
         self._update_z()
-        self._update_delta("delta_y")
-        self._update_delta("delta_x")
+        for mg in margins:
+            self._update_delta(mg)
         self.iteration += 1
-
-    def set_state(self, state: ModelState):
-        self.state = state.copy()
-        self.refresh_cache()
 
     def acceptance_rates(self) -> dict:
         return {k: (self.accept_counts[k] / self.proposal_counts[k]
@@ -662,8 +607,7 @@ def run_chain(model: HierarchicalModel, cfg: McmcConfig, rng,
               init: ModelState | None = None, chain_index: int = 0) -> PosteriorDraws:
     """Run one chain and return the thinned post-burn-in draws."""
     state = model.initialize_state() if init is None else init
-    sampler = MwgSampler(model, state, rng, target_accept=cfg.target_accept)
-    sampler.adapting = cfg.adapt
+    sampler = MwgSampler(model, state, rng)
     kept, logpost = [], []
     if cfg.iterations == 0:
         kept.append(sampler.state.copy())

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import conditional_map
 from .draws import PosteriorDraws
 from .errors import DomainError
+from .model import rates
 
 SUMMARY_COLUMNS = ("mean", "sd", "q2.5", "median", "q97.5", "min", "max")
 SUMMARY_ROW_ORDER = ("alpha", "beta_y", "beta_x", "kappa_y", "kappa_x",
@@ -23,16 +25,6 @@ class CalibratedField:
     sd: np.ndarray        # (N_s, T) predictive standard deviation
     clamped: np.ndarray   # (N_s, T) bool, clamped in at least one draw
     clamp_fraction: np.ndarray  # (N_s, T) share of draws that clamped
-
-
-def _conditional_map_grid(x, delta_x, xi_x, kappa_x, delta_y, xi_y, kappa_y):
-    """Fused per-cell quantile-matching map (same form as conditional_calibrate)."""
-    bx = np.maximum(1.0 - x / delta_x, 0.0)
-    with np.errstate(divide="ignore"):
-        s = np.exp(np.log(bx) * (-1.0 / xi_x))
-        t = -np.expm1((kappa_x / kappa_y) * np.log1p(-s))
-        out = delta_y * -np.expm1(np.log(t) * (-xi_y))
-    return np.clip(out, 0.0, delta_y)
 
 
 def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> CalibratedField:
@@ -61,19 +53,15 @@ def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> Calibra
     for d in range(nd):
         delta_y_full[d, obs_idx] = draws.delta_y[d]
         if sim_only.size:
-            eta = beta_y[d] + draws.w[d, sim_only][:, None] + draws.z[d][None, :]
-            lam = np.exp(eta)
+            lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
             delta_y_full[d, sim_only] = draws.shift_y + rng.exponential(1.0 / lam)
 
     acc = np.zeros((n_total, n_times))
     acc2 = np.zeros((n_total, n_times))
     clamp_count = np.zeros((n_total, n_times))
     for d in range(nd):
-        dx = draws.delta_x[d]
-        clamped = x > dx
-        xc = np.minimum(x, dx)
-        xs = _conditional_map_grid(
-            xc, dx, draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
+        xs, clamped = conditional_map(
+            x, draws.delta_x[d], draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
             delta_y_full[d], draws.scalars["xi_y"][d], draws.scalars["kappa_y"][d])
         acc += xs
         acc2 += xs ** 2

@@ -28,7 +28,6 @@ class TestEmpiricalCdf:
     def test_positions_are_hazen(self):
         ecdf = EmpiricalCdf.from_sample([3.0, 1.0, 2.0, 4.0])
         assert np.allclose(ecdf.positions, [0.125, 0.375, 0.625, 0.875])
-        assert ecdf.rule == "hazen"
 
     def test_nan_dropped_and_counted(self):
         ecdf = EmpiricalCdf.from_sample([1.0, np.nan, 2.0, np.nan])

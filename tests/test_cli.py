@@ -107,6 +107,26 @@ class TestExitCodes:
         p.write_text(text)
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("panel, literal", [("observed", "nan"), ("simulated", "inf")])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, dataset, capsys,
+                                                 panel, literal):
+        path = dataset / f"{panel}.csv"
+        lines = path.read_text().splitlines()
+        sid, date, _ = lines[2].split(",")
+        lines[2] = f"{sid},{date},{literal}"
+        path.write_text("\n".join(lines) + "\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{panel}.csv line 3" in capsys.readouterr().err
+
+    def test_figure_day_outside_panel_fails_before_fit(self, tmp_path, dataset):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", dataset, out, mode="hierarchical",
+                         iterations=10, burn_in=2, thinning=1, chains=1,
+                         figure_days="1,99")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert not (out / "calibrated.csv").exists()
+
 
 class TestMarginalModes:
     def test_marginal_empirical(self, tmp_path, dataset):

@@ -90,6 +90,12 @@ class TestLoadValidation:
         with pytest.raises(DataValidationError, match="line 2"):
             load_network(p)
 
+    def test_non_finite_coordinate_names_line(self, tmp_path):
+        p = self._write(tmp_path / "s.csv",
+                        "station_id,x_km,y_km,observed\na,0,0,1\nb,nan,1,1\n")
+        with pytest.raises(DataValidationError, match="line 3"):
+            load_network(p)
+
     def test_duplicate_station(self, tmp_path):
         p = self._write(tmp_path / "s.csv",
                         "station_id,x_km,y_km,observed\na,0,0,1\na,1,1,1\n")

@@ -46,8 +46,6 @@ class TestParams:
         with pytest.raises(DomainError):
             EgpdParams(delta=1.0, xi=-0.1, kappa=0.0)
         with pytest.raises(DomainError):
-            EgpdParams(delta=1.0, xi=-0.1, kappa=2.0, g_family="beta")
-        with pytest.raises(DomainError):
             GpdParams(sigma=0.0, xi=-0.1)
 
     def test_gpd_endpoint_infinite_for_nonnegative_shape(self):

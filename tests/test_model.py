@@ -127,14 +127,18 @@ class TestPosteriorKernel:
             assert m.log_likelihood(s2) == -math.inf
 
     def test_missing_cells_do_not_contribute(self):
+        def loglik_y_grid(model, state):
+            margin = model.margins[0]
+            return margin.loglik(*margin.params(state))
+
         m_full = toy_model(seed=3)
         st = m_full.initialize_state()
-        base = m_full.loglik_y_grid(st)
+        base = loglik_y_grid(m_full, st)
         y_missing = m_full.y.copy()
         y_missing[0, 0] = np.nan
         m_miss = HierarchicalModel(y_missing, m_full.x, m_full.net,
                                    shift_y=m_full.shift_y, shift_x=m_full.shift_x)
-        grid = m_miss.loglik_y_grid(st)
+        grid = loglik_y_grid(m_miss, st)
         assert grid[0, 0] == 0.0
         assert np.allclose(np.delete(grid, 0), np.delete(base, 0))
 
@@ -184,7 +188,7 @@ class TestSampler:
         assert p.alpha_low < s.alpha < p.alpha_high
         assert s.tau_w > 0 and s.tau_z > 0 and s.kappa_y > 0 and s.kappa_x > 0
         assert np.all(s.delta_y > m.shift_y) and np.all(s.delta_x > m.shift_x)
-        assert np.all(s.delta_y > np.where(m.y_mask, m.y_filled, 0.0))
+        assert np.all(s.delta_y > np.where(m.y_mask, m.y, 0.0))
         assert np.all(s.delta_x > m.x)
 
     def test_adaptation_freezes_after_burn_in(self):
