@@ -2,8 +2,11 @@
 
 The family composes a power transform G(u) = u**kappa with a GPD whose
 shape is negative, so the law has a finite upper endpoint delta = -sigma/xi
-and an extra lower-tail shape kappa.  All functions accept scalars or numpy
-arrays for the data argument and are pure given the parameter objects.
+and an extra lower-tail shape kappa.  The public functions taking
+EgpdParams validate their inputs and accept scalars or numpy arrays for the
+data argument.  The kernels (egpd_logpdf_kernel, egpd_quantile_kernel,
+gpd_log_sf, gpd_isf, egpd_draw) skip validation and broadcast over per-cell parameters;
+they are the only copies of these formulas in the package.
 """
 
 from __future__ import annotations
@@ -142,19 +145,21 @@ def egpd_logpdf(y, p: EgpdParams):
 
 
 def egpd_logpdf_kernel(y, delta, xi, kappa):
-    """Unchecked log density, broadcasting over ``y``, ``delta`` and ``xi``; -inf off support."""
+    """Unchecked log density, broadcasting over all arguments; -inf off support."""
     inside = (y > 0.0) & (y < delta)
-    base = np.where(inside, 1.0 - y / delta, 0.5)  # placeholder outside support
+    # log(1 - y/delta) via log1p keeps full precision when y/delta is tiny;
+    # 0.5 is a placeholder outside the support
+    log_base = np.log1p(-np.where(inside, y / delta, 0.5))
     # GPD density in endpoint form: h(y) = (1/sigma) * (1 - y/delta)**(-1/xi - 1)
-    log_h = -np.log(-xi * delta) + (-1.0 / xi - 1.0) * np.log(base)
-    log_big_h = np.log1p(-base ** (-1.0 / xi))
-    return np.where(inside, math.log(kappa) + log_h + (kappa - 1.0) * log_big_h, -np.inf)
+    log_h = -np.log(-xi * delta) + (-1.0 / xi - 1.0) * log_base
+    # log H(y) = log(1 - (1 - y/delta)**(-1/xi))
+    log_big_h = np.log(-np.expm1(log_base * (-1.0 / xi)))
+    return np.where(inside, np.log(kappa) + log_h + (kappa - 1.0) * log_big_h, -np.inf)
 
 
 def egpd_draw(rng, delta, xi, kappa):
     """One draw per cell of ``delta``, kept strictly inside the open support (0, delta)."""
-    u = rng.uniform(size=np.shape(delta))
-    vals = delta * (1.0 - (1.0 - u ** (1.0 / kappa)) ** (-xi))
+    vals = egpd_quantile_kernel(rng.uniform(size=np.shape(delta)), delta, xi, kappa)
     # rounding can otherwise land exactly on 0 or the endpoint and zero out
     # the likelihood
     return np.clip(vals, delta * 1e-12, delta * (1.0 - 1e-12))

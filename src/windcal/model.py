@@ -504,10 +504,7 @@ class MwgSampler:
 
     def _update_w(self):
         m, s = self.model, self.state
-        # x before y: the order of the float sum in log_ratio is part of what
-        # makes fixed-seed outputs reproducible
-        row_of = [(mg, {int(site): r for r, site in enumerate(mg.rows)})
-                  for mg in reversed(m.margins)]
+        row_of = [(mg, {int(site): r for r, site in enumerate(mg.rows)}) for mg in m.margins]
         for i in range(m.n_total):
             step = math.exp(self.log_scales["w"][i]) * self.rng.standard_normal()
             w_new = s.w.copy()

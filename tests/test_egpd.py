@@ -157,6 +157,18 @@ class TestLogpdf:
         assert egpd_logpdf(p.delta, p) == -math.inf
         assert egpd_logpdf(p.delta + 1.0, p) == -math.inf
 
+    @pytest.mark.parametrize("ratio", [1e3, 1e15, 1e17])
+    def test_precise_when_y_is_tiny_against_delta(self, ratio):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        y, delta, xi, kappa = 1.0, ratio, -0.1, 2.0
+        base = 1 - mpmath.mpf(y) / delta
+        ref = (mpmath.log(kappa) - mpmath.log(-mpmath.mpf(xi) * delta)
+               + (-1 / mpmath.mpf(xi) - 1) * mpmath.log(base)
+               + (kappa - 1) * mpmath.log(1 - base ** (-1 / mpmath.mpf(xi))))
+        got = egpd_logpdf(y, EgpdParams(delta=delta, xi=xi, kappa=kappa))
+        assert got == pytest.approx(float(ref), rel=1e-13)
+
     def test_no_warnings_outside_support(self):
         p = params()
         with np.errstate(all="raise"):

@@ -84,6 +84,13 @@ class TestModelValidation:
         assert m.shift_y == 11.0
         assert m.shift_x == 19.5
 
+    def test_initialize_on_panel_spanning_17_decades(self):
+        net = toy_network()
+        x = np.logspace(0.0, 17.0, 20).reshape(5, 4)
+        m = HierarchicalModel(x[:3], x, net)
+        sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
+        assert np.isfinite(sampler.log_posterior())
+
     def test_initialize_rejects_constant_panel(self):
         net = toy_network()
         m = HierarchicalModel(np.ones((3, 4)), np.ones((5, 4)) * 2, net)
