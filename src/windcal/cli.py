@@ -84,10 +84,18 @@ class RunConfig:
         return d
 
 
+def _convert(kind, text: str, where: str, key: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DataValidationError(
+            f"{where}: {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def parse_config(path) -> RunConfig:
     if not os.path.exists(path):
         raise DataValidationError(f"config file not found: {path}")
-    raw = {}
+    raw = {}  # key -> (value, where it was set)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -96,29 +104,30 @@ def parse_config(path) -> RunConfig:
             if "=" not in line:
                 raise DataValidationError(f"{path} line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
+            raw[key] = (value, f"{path} line {lineno}")
     for key in _PATH_KEYS:
         env = os.environ.get(f"WINDCAL_{key.upper()}")
         if env:
-            raw[key] = env
+            raw[key] = (env, f"WINDCAL_{key.upper()}")
     prior_kwargs = {}
     cfg_kwargs = {}
     field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     prior_fields = {f.name for f in dataclasses.fields(PriorSpec)}
-    for key, value in raw.items():
+    for key, (value, where) in raw.items():
         if key.startswith("prior_") and key[len("prior_"):] in prior_fields:
-            prior_kwargs[key[len("prior_"):]] = float(value)
+            prior_kwargs[key[len("prior_"):]] = _convert(float, value, where, key)
             continue
         if key not in field_types:
-            raise DataValidationError(f"unknown config key {key!r}")
+            raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in ("seed", "iterations", "burn_in", "thinning", "chains"):
-            cfg_kwargs[key] = int(value)
+            cfg_kwargs[key] = _convert(int, value, where, key)
         elif key == "full_dump":
             cfg_kwargs[key] = value.strip() in ("1", "true", "yes")
         elif key == "figure_days":
-            cfg_kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            cfg_kwargs[key] = tuple(_convert(int, v, where, key)
+                                    for v in value.split(",") if v.strip())
         elif key.startswith(("source_", "target_")):
-            cfg_kwargs[key] = float(value)
+            cfg_kwargs[key] = _convert(float, value, where, key)
         else:
             cfg_kwargs[key] = value
     if prior_kwargs:

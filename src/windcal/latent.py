@@ -110,6 +110,13 @@ class CholFactor:
         v = solve_triangular(self.lower, w, lower=True)
         return float(v @ v)
 
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Inverse of the (jittered) correlation matrix, from this factor; built on first use."""
+        from scipy.linalg import cho_solve
+
+        return cho_solve((self.lower, True), np.eye(self.lower.shape[0]))
+
 
 def cholesky_correlation(corr: np.ndarray, alpha_label: float | None = None) -> CholFactor:
     """Cholesky with escalating jitter (1e-10, x10 steps, up to 1e-6)."""

@@ -145,6 +145,11 @@ def _normal_logpdf(x, mean, precision):
     return 0.5 * math.log(precision / (2.0 * math.pi)) - 0.5 * precision * (x - mean) ** 2
 
 
+def _expm1(x: float) -> float:
+    """math.expm1 that overflows to inf instead of raising."""
+    return math.expm1(x) if x < 709.0 else math.inf
+
+
 class HierarchicalModel:
     """Posterior kernel for one (observed panel, simulated panel, network) triple.
 
@@ -289,7 +294,7 @@ class HierarchicalModel:
 
     # -- initialization ---------------------------------------------------------
 
-    def initialize_state(self, seed=None) -> ModelState:
+    def initialize_state(self) -> ModelState:
         sd_y = float(np.nanstd(self.y))
         sd_x = float(np.std(self.x))
         if sd_y <= 0 or sd_x <= 0:
@@ -333,6 +338,12 @@ class MwgSampler:
     Update order per sweep is fixed: betas, kappas, xis (each y then x),
     alpha, taus, each spatial site, each day (with recentring), then both
     endpoint panels in one vectorized block each.
+
+    beta, w and z enter the posterior only through the rates
+    lambda = exp(beta + w_i + z_j), and the endpoint gaps G = delta - shift
+    stay fixed while they move, so their blocks read the endpoint prior
+    through sums of lambda * G (per margin, per station, per day) instead
+    of grids.
     """
 
     def __init__(self, model: HierarchicalModel, state: ModelState, rng):
@@ -350,18 +361,19 @@ class MwgSampler:
         self.proposal_counts = {k: 0.0 for k in self.log_scales}
         self.refresh_cache()
 
-    # cached pieces of the log-posterior, per margin name; every update
-    # maintains them
+    # cached pieces of the log-posterior; the endpoint-prior grids are
+    # rebuilt by the delta blocks, so they are current at the end of a sweep
+    # but not between the beta/w/z blocks and the delta blocks
     def refresh_cache(self):
         m, s = self.model, self.state
         self.factor = m.chol_factor(s.alpha)
         self.quad_w = self.factor.quad_form(s.w)
         self.quad_z = rw1_quad_form(s.z)
-        self.lam, self.prior, self.ll = {}, {}, {}
+        self.prior, self.ll = {}, {}
         for mg in m.margins:
             k = mg.name
-            self.lam[k] = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
-            self.prior[k] = m.delta_prior_grid(self.lam[k], getattr(s, mg.delta), mg.shift)
+            lam = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
+            self.prior[k] = m.delta_prior_grid(lam, getattr(s, mg.delta), mg.shift)
             self.ll[k] = mg.loglik(*mg.params(s))
             if not (np.isfinite(self.prior[k].sum()) and np.isfinite(self.ll[k].sum())):
                 raise NumericalError("non-finite log-posterior component at sampler start")
@@ -372,44 +384,65 @@ class MwgSampler:
                                      [self.prior[mg.name] for mg in margins])
         return out + float(sum(self.ll[mg.name].sum() for mg in margins))
 
+    def _rate_factors(self, mg: Margin):
+        """exp(beta), exp(w[rows]), exp(z) and G = delta - shift of a margin.
+
+        lambda * G is exp(beta) * outer(exp(w[rows]), exp(z)) * G; the blocks
+        reduce it by matrix-vector products rather than forming the grid.
+        """
+        s = self.state
+        with np.errstate(over="ignore"):
+            return (np.exp(getattr(s, mg.beta)), np.exp(s.w[mg.rows]), np.exp(s.z),
+                    getattr(s, mg.delta) - mg.shift)
+
     # -- bookkeeping ------------------------------------------------------------
 
-    def _adapt(self, name, accepted, idx=None):
-        self.proposal_counts[name] += 1 if np.isscalar(accepted) else np.size(accepted)
-        self.accept_counts[name] += float(np.sum(accepted))
+    def _adapt(self, name, accepted):
+        """Count a block's outcomes and, during burn-in, tune its log-scale.
+
+        ``accepted`` is one outcome or an array of them.  A scalar scale
+        moves by the block's acceptance rate; a per-site scale array (w, z)
+        moves elementwise, one outcome per site.
+        """
+        if isinstance(accepted, np.ndarray):
+            n, hits = accepted.size, float(np.count_nonzero(accepted))
+        else:
+            n, hits = 1, float(accepted)
+        self.proposal_counts[name] += n
+        self.accept_counts[name] += hits
         if not self.adapting:
             return
         gamma = (self.iteration + 1) ** -0.6
-        move = gamma * (float(np.mean(accepted)) - TARGET_ACCEPT)
-        if idx is None:
-            if isinstance(self.log_scales[name], np.ndarray):
-                self.log_scales[name] += move
-            else:
-                self.log_scales[name] = float(np.clip(self.log_scales[name] + move, -15.0, 10.0))
+        scale = self.log_scales[name]
+        if isinstance(scale, np.ndarray):
+            self.log_scales[name] = np.clip(scale + gamma * (accepted - TARGET_ACCEPT),
+                                            -15.0, 10.0)
         else:
-            self.log_scales[name][idx] = np.clip(self.log_scales[name][idx] + move, -15.0, 10.0)
+            self.log_scales[name] = min(max(scale + gamma * (hits / n - TARGET_ACCEPT),
+                                            -15.0), 10.0)
 
     def _accept(self, log_ratio) -> bool:
-        if not np.isfinite(log_ratio):
+        if not math.isfinite(log_ratio):
             return False
         return math.log(self.rng.uniform()) < log_ratio
 
     # -- scalar updates -----------------------------------------------------------
 
     def _update_beta(self, mg: Margin):
+        # beta -> beta + d scales every lambda of the margin by e^d
         m, s = self.model, self.state
         p = m.priors
         cur = getattr(s, mg.beta)
-        prop = cur + math.exp(self.log_scales[mg.beta]) * self.rng.standard_normal()
-        lam_new = rates(prop, s.w[mg.rows], s.z)
-        prior_new = m.delta_prior_grid(lam_new, getattr(s, mg.delta), mg.shift)
-        log_ratio = prior_new.sum() - self.prior[mg.name].sum() \
+        d = math.exp(self.log_scales[mg.beta]) * self.rng.standard_normal()
+        prop = cur + d
+        e_beta, e_w, e_z, gap = self._rate_factors(mg)
+        lam_gap = e_beta * (e_w @ gap @ e_z)
+        log_ratio = gap.size * d - _expm1(d) * lam_gap \
             + _normal_logpdf(prop, p.beta_mean, p.beta_precision) \
             - _normal_logpdf(cur, p.beta_mean, p.beta_precision)
         acc = self._accept(log_ratio)
         if acc:
             setattr(s, mg.beta, prop)
-            self.lam[mg.name], self.prior[mg.name] = lam_new, prior_new
         self._adapt(mg.beta, acc)
 
     def _update_kappa(self, mg: Margin):
@@ -503,57 +536,67 @@ class MwgSampler:
     # -- latent field updates ------------------------------------------------------
 
     def _update_w(self):
+        # w_i -> w_i + step moves the spatial quadratic form by
+        # 2 step (Q w)_i + step^2 Q_ii, Q the inverse correlation, and scales
+        # lambda on station i's rows by e^step; station i's sum of lambda * G
+        # depends on no other site and is read once, so it is not updated
         m, s = self.model, self.state
-        row_of = [(mg, {int(site): r for r, site in enumerate(mg.rows)}) for mg in m.margins]
+        q = self.factor.precision
+        q_w = q @ s.w
+        q_diag = np.diagonal(q).tolist()
+        lam_gap = np.zeros(m.n_total)
+        n_cells = np.zeros(m.n_total)
+        for mg in m.margins:
+            e_beta, e_w, e_z, gap = self._rate_factors(mg)
+            lam_gap[mg.rows] += e_beta * e_w * (gap @ e_z)
+            n_cells[mg.rows] += m.n_times
+        lam_gap, n_cells = lam_gap.tolist(), n_cells.tolist()
+        log_scales = self.log_scales["w"].tolist()
+        tau = s.tau_w
+        acc = np.zeros(m.n_total, dtype=bool)
         for i in range(m.n_total):
-            step = math.exp(self.log_scales["w"][i]) * self.rng.standard_normal()
-            w_new = s.w.copy()
-            w_new[i] += step
-            quad_new = self.factor.quad_form(w_new)
-            log_ratio = -0.5 * s.tau_w * (quad_new - self.quad_w)
-            new_rows = []
-            for mg, rows in row_of:
-                r = rows.get(i)
-                if r is None:
-                    continue
-                lam_row = rates(getattr(s, mg.beta), w_new[i:i + 1], s.z)[0]
-                prior_row = m.delta_prior_grid(lam_row[None, :], getattr(s, mg.delta)[r:r + 1],
-                                               mg.shift)[0]
-                log_ratio += prior_row.sum() - self.prior[mg.name][r].sum()
-                new_rows.append((mg.name, r, lam_row, prior_row))
-            acc = self._accept(log_ratio)
-            if acc:
-                s.w = w_new
-                self.quad_w = quad_new
-                for k, r, lam_row, prior_row in new_rows:
-                    self.lam[k][r] = lam_row
-                    self.prior[k][r] = prior_row
-            self._adapt("w", acc, idx=i)
+            step = math.exp(log_scales[i]) * self.rng.standard_normal()
+            log_ratio = -0.5 * tau * (2.0 * step * q_w[i] + step * step * q_diag[i]) \
+                + n_cells[i] * step - _expm1(step) * lam_gap[i]
+            if self._accept(log_ratio):
+                s.w[i] += step
+                q_w += step * q[:, i]
+                acc[i] = True
+        self.quad_w = self.factor.quad_form(s.w)
+        self._adapt("w", acc)
 
     def _update_z(self):
-        # proposal direction e_j - 1/T keeps sum(z) = 0 and is symmetric
+        # proposal direction e_j - 1/T keeps sum(z) = 0 and is symmetric; it
+        # leaves sum(log lambda) alone, scales day k's lambdas by e^dz_k and
+        # changes only the two first differences next to day j
         m, s = self.model, self.state
         t = m.n_times
+        lam_gap = sum(e_beta * (e_w @ gap) * e_z
+                      for e_beta, e_w, e_z, gap in map(self._rate_factors, m.margins))
+        total = float(lam_gap.sum())
+        log_scales = self.log_scales["z"].tolist()
+        tau = s.tau_z
+        acc = np.zeros(t, dtype=bool)
         for j in range(t):
-            eps = math.exp(self.log_scales["z"][j]) * self.rng.standard_normal()
-            dz = np.full(t, -eps / t)
-            dz[j] += eps
-            z_new = s.z + dz
-            quad_new = rw1_quad_form(z_new)
-            scale = np.exp(dz)
-            log_ratio = -0.5 * s.tau_z * (quad_new - self.quad_z)
-            lam_new, prior_new = {}, {}
-            for mg in m.margins:
-                k = mg.name
-                lam_new[k] = self.lam[k] * scale[None, :]
-                prior_new[k] = m.delta_prior_grid(lam_new[k], getattr(s, mg.delta), mg.shift)
-                log_ratio = log_ratio + prior_new[k].sum() - self.prior[k].sum()
-            acc = self._accept(log_ratio)
-            if acc:
-                s.z = z_new
-                self.quad_z = quad_new
-                self.lam, self.prior = lam_new, prior_new
-            self._adapt("z", acc, idx=j)
+            eps = math.exp(log_scales[j]) * self.rng.standard_normal()
+            recentre = -eps / t
+            d_quad = 0.0
+            if j > 0:
+                d_quad += 2.0 * eps * (s.z[j] - s.z[j - 1]) + eps * eps
+            if j < t - 1:
+                d_quad += -2.0 * eps * (s.z[j + 1] - s.z[j]) + eps * eps
+            c_j = lam_gap[j]
+            log_ratio = -0.5 * tau * d_quad - _expm1(recentre + eps) * c_j \
+                - _expm1(recentre) * (total - c_j)
+            if self._accept(log_ratio):
+                dz = np.full(t, recentre)
+                dz[j] += eps
+                s.z = s.z + dz
+                lam_gap *= np.exp(dz)
+                total = float(lam_gap.sum())
+                acc[j] = True
+        self.quad_z = rw1_quad_form(s.z)
+        self._adapt("z", acc)
 
     # -- endpoint panels -------------------------------------------------------------
 
@@ -561,7 +604,9 @@ class MwgSampler:
         m, s = self.model, self.state
         k = mg.name
         delta, xi, kappa = mg.params(s)
-        lam, ll, prior = self.lam[k], self.ll[k], self.prior[k]
+        lam = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
+        prior = m.delta_prior_grid(lam, delta, mg.shift)
+        ll = self.ll[k]
         v = np.log(delta - mg.shift)
         v_new = v + math.exp(self.log_scales[mg.delta]) * self.rng.standard_normal(v.shape)
         gap_new = np.exp(v_new)

@@ -119,6 +119,14 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{panel}.csv line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, literal", [("iterations", "abc"), ("prior_tau_rate", "x")])
+    def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
+                                                     key, literal):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})
+        assert main(["fit", "--config", str(p)]) == EXIT_DATA
+        assert f"run.cfg line 5: {key} = {literal!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_figure_day_outside_panel_fails_before_fit(self, tmp_path, dataset):
         out = tmp_path / "out"
         p = write_config(tmp_path / "run.cfg", dataset, out, mode="hierarchical",

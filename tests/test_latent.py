@@ -101,6 +101,9 @@ class TestCholeskyAndDensity:
         assert np.allclose(f.lower @ f.lower.T, c, atol=1e-12)
         sign, logdet = np.linalg.slogdet(c)
         assert sign > 0 and f.logdet == pytest.approx(logdet)
+        assert np.allclose(f.precision @ c, np.eye(c.shape[0]), atol=1e-9)
+        w = np.random.default_rng(3).standard_normal(c.shape[0])
+        assert w @ f.precision @ w == pytest.approx(f.quad_form(w), rel=1e-10)
 
     def test_jitter_escalation_on_singular_matrix(self):
         c = np.ones((3, 3))  # rank one

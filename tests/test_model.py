@@ -166,16 +166,50 @@ class TestTransforms:
 
 class TestSampler:
     def test_cache_matches_full_recompute(self):
-        m = toy_model(seed=1)
-        sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
-        for _ in range(25):
-            sampler.sweep()
-        assert sampler.log_posterior() == pytest.approx(
-            m.log_posterior(sampler.state), abs=1e-8)
-        # recomputing the cache from scratch changes nothing
-        cached = sampler.log_posterior()
-        sampler.refresh_cache()
-        assert sampler.log_posterior() == pytest.approx(cached, abs=1e-10)
+        # a complete panel and one with missing cells, during burn-in and after
+        for missing_rate, n_times in ((0.0, 4), (0.2, 12)):
+            m = toy_model(seed=1, n_times=n_times, missing_rate=missing_rate)
+            assert np.isnan(m.y).any() == (missing_rate > 0)
+            sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
+            for adapting in (True, False):
+                sampler.adapting = adapting
+                for _ in range(25):
+                    sampler.sweep()
+                assert sampler.log_posterior() == pytest.approx(
+                    m.log_posterior(sampler.state), abs=1e-8)
+                # recomputing the cache from scratch changes nothing
+                cached = sampler.log_posterior()
+                sampler.refresh_cache()
+                assert sampler.log_posterior() == pytest.approx(cached, abs=1e-10)
+
+    def test_block_log_ratios_match_log_posterior(self):
+        # accept every proposal, so consecutive states are (current, proposed)
+        # pairs; the ratio each beta/w/z block builds from its sums of
+        # lambda * (delta - shift) must equal the change in the full posterior
+        m = toy_model(seed=0, n_total=6, n_obs=4, n_times=12, missing_rate=0.2,
+                      priors=PriorSpec(kappa_shape=2.0, kappa_rate=0.5))
+        rng = np.random.default_rng(0)
+        state = m.sample_prior_state(rng)
+        m.replace_data(*m.sample_panels(state, rng))
+        assert np.isnan(m.y).any()
+        sampler = MwgSampler(m, state, rng)
+        seen = []
+
+        def accept_all(log_ratio):
+            seen.append((log_ratio, m.log_posterior(sampler.state)))
+            return True
+
+        sampler._accept = accept_all
+        blocks = [lambda: sampler._update_beta(m.margins[0]),
+                  lambda: sampler._update_beta(m.margins[1]),
+                  sampler._update_w, sampler._update_z]
+        for block in blocks:
+            seen.clear()
+            block()
+            after = [lp for _, lp in seen[1:]] + [m.log_posterior(sampler.state)]
+            for (log_ratio, before), lp_after in zip(seen, after):
+                assert log_ratio == pytest.approx(lp_after - before, rel=1e-10)
+        assert len(seen) == m.n_times
 
     def test_z_stays_sum_zero(self):
         m = toy_model(seed=2)
