@@ -56,19 +56,20 @@ def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> Calibra
             lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
             delta_y_full[d, sim_only] = draws.shift_y + rng.exponential(1.0 / lam)
 
-    acc = np.zeros((n_total, n_times))
-    acc2 = np.zeros((n_total, n_times))
+    # Welford's running mean and sum of squared deviations: E[x^2] - E[x]^2
+    # cancels catastrophically when the draws nearly agree
+    mean = np.zeros((n_total, n_times))
+    sq_dev = np.zeros((n_total, n_times))
     clamp_count = np.zeros((n_total, n_times))
     for d in range(nd):
         xs, clamped = conditional_map(
             x, draws.delta_x[d], draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
             delta_y_full[d], draws.scalars["xi_y"][d], draws.scalars["kappa_y"][d])
-        acc += xs
-        acc2 += xs ** 2
+        dev = xs - mean
+        mean += dev / (d + 1)
+        sq_dev += dev * (xs - mean)
         clamp_count += clamped
-    mean = acc / nd
-    var = np.maximum(acc2 / nd - mean ** 2, 0.0)
-    return CalibratedField(values=mean, sd=np.sqrt(var),
+    return CalibratedField(values=mean, sd=np.sqrt(sq_dev / nd),
                            clamped=clamp_count > 0,
                            clamp_fraction=clamp_count / nd)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from windcal.calibration import conditional_calibrate
+from windcal.calibration import conditional_calibrate, conditional_map
 from windcal.data import SyntheticTruth, generate_synthetic
 from windcal.draws import PosteriorDraws, SCALAR_NAMES
 from windcal.egpd import EgpdParams
@@ -64,6 +64,35 @@ class TestCalibrateField:
         expect = conditional_calibrate(panel.x[i, 2], px, py)
         assert field.values[i, 2] == pytest.approx(expect, rel=1e-12)
         assert field.sd[i, 2] == pytest.approx(0.0, abs=1e-9)
+
+    def test_predictive_sd_of_agreeing_draws(self):
+        # every station observed, so each cell's map is a function of the draw
+        net, panel, draws = small_fit(n_obs=5)
+        first = {"scalars": {k: v[:1] for k, v in draws.scalars.items()},
+                 "w": draws.w[:1], "z": draws.z[:1],
+                 "delta_y": draws.delta_y[:1], "delta_x": draws.delta_x[:1]}
+
+        def repeated(n, delta_x):
+            return PosteriorDraws(
+                scalars={k: np.repeat(v, n) for k, v in first["scalars"].items()},
+                w=np.repeat(first["w"], n, axis=0), z=np.repeat(first["z"], n, axis=0),
+                delta_y=np.repeat(first["delta_y"], n, axis=0), delta_x=delta_x,
+                chain=np.zeros(n, dtype=int), log_posterior=np.zeros(n),
+                acceptance=draws.acceptance, shift_y=draws.shift_y, shift_x=draws.shift_x)
+
+        same = calibrate_field(repeated(7, np.repeat(first["delta_x"], 7, axis=0)),
+                               panel.x, net.observed_indices)
+        assert np.all(same.sd == 0.0)
+        # source endpoints a relative 1e-3 apart: near-constant calibrated values
+        wiggle = 1.0 + 1e-3 * np.sin(np.arange(7.0))[:, None, None]
+        near = repeated(7, first["delta_x"] * wiggle)
+        field = calibrate_field(near, panel.x, net.observed_indices)
+        xs = np.array([conditional_map(panel.x, near.delta_x[d], near.scalars["xi_x"][d],
+                                       near.scalars["kappa_x"][d], near.delta_y[d],
+                                       near.scalars["xi_y"][d], near.scalars["kappa_y"][d])[0]
+                       for d in range(7)])
+        assert np.allclose(field.values, xs.mean(axis=0), rtol=1e-14, atol=0.0)
+        assert np.allclose(field.sd, xs.std(axis=0), rtol=1e-12, atol=0.0)
 
     def test_simulator_only_rows_seeded(self):
         net, panel, draws = small_fit()
