@@ -26,7 +26,7 @@ from .latent import (
     sample_spatial_field,
     spatial_correlation,
 )
-from .model import rates
+from .model import endpoint_draw, rates
 
 
 @dataclass
@@ -200,8 +200,8 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
     w = sample_spatial_field(factor, truth.tau_w, rng)
     z = sample_rw1_constrained(n_times, truth.tau_z, rng)
     obs = net.observed_indices
-    delta_y = truth.shift_y + rng.exponential(1.0 / rates(truth.beta_y, w[obs], z))
-    delta_x = truth.shift_x + rng.exponential(1.0 / rates(truth.beta_x, w, z))
+    delta_y = endpoint_draw(rng, truth.shift_y, rates(truth.beta_y, w[obs], z))
+    delta_x = endpoint_draw(rng, truth.shift_x, rates(truth.beta_x, w, z))
     y = egpd_draw(rng, delta_y, truth.xi_y, truth.kappa_y)
     x = egpd_draw(rng, delta_x, truth.xi_x, truth.kappa_x)
     if missing_rate > 0:

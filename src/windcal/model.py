@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln, logit
@@ -47,6 +48,64 @@ class PriorSpec:
     tau_rate: float = 0.1
     alpha_low: float = 0.1
     alpha_high: float = 0.5
+
+
+class Law(NamedTuple):
+    """Prior of one scalar; its family fixes every field."""
+
+    logpdf: Callable  # log-density
+    draw: Callable    # rng -> one forward draw
+    lo: float         # the support is the open interval (lo, hi)
+    hi: float
+    move: Callable    # (x, step) -> (proposal, log-Jacobian of the move) for a random-walk
+                      # step on the prior's scale: identity, log, or logit of the box
+
+
+def _normal(mean, precision) -> Law:
+    const = 0.5 * math.log(precision / (2.0 * math.pi))
+    return Law(lambda x: const - 0.5 * precision * (x - mean) ** 2,
+               lambda rng: rng.normal(mean, 1.0 / math.sqrt(precision)),
+               -math.inf, math.inf, lambda x, step: (x + step, 0.0))
+
+
+def _gamma(shape, rate) -> Law:
+    const = shape * math.log(rate) - gammaln(shape)
+    return Law(lambda x: const + (shape - 1.0) * math.log(x) - rate * x,
+               lambda rng: rng.gamma(shape, 1.0 / rate), 0.0, math.inf,
+               lambda x, step: (x * math.exp(step), step))
+
+
+def _uniform(lo, hi) -> Law:
+    def move(x, step):
+        t = _logit_box(x, lo, hi)
+        t_prop = t + step
+        return _expit_box(t_prop, lo, hi), _log_jac_box(t_prop, lo, hi) - _log_jac_box(t, lo, hi)
+
+    return Law(lambda x: -math.log(hi - lo), lambda rng: rng.uniform(lo, hi), lo, hi, move)
+
+
+def _logit_box(x, lo, hi):
+    return logit((x - lo) / (hi - lo))
+
+
+def _expit_box(t, lo, hi):
+    return lo + (hi - lo) * expit(t)
+
+
+def _log_jac_box(t, lo, hi):
+    # |dx/dt| = (hi - lo) * p * (1 - p) for p = expit(t)
+    return math.log(hi - lo) - t - 2.0 * math.log1p(math.exp(-t)) if t > 0 else \
+        math.log(hi - lo) + t - 2.0 * math.log1p(math.exp(t))
+
+
+def prior_table(p: PriorSpec) -> dict:
+    """The Law of every scalar in SCALAR_NAMES, in that order."""
+    family = {"beta": _normal(p.beta_mean, p.beta_precision),
+              "kappa": _gamma(p.kappa_shape, p.kappa_rate),
+              "xi": _uniform(p.xi_low, p.xi_high),
+              "alpha": _uniform(p.alpha_low, p.alpha_high),
+              "tau": _gamma(p.tau_shape, p.tau_rate)}
+    return {name: family[name.split("_")[0]] for name in SCALAR_NAMES}
 
 
 @dataclass(frozen=True)
@@ -135,14 +194,9 @@ def rates(beta, w_rows, z):
         return np.exp(eta)
 
 
-def _gamma_logpdf(x, shape, rate):
-    if x <= 0:
-        return -np.inf
-    return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
-
-
-def _normal_logpdf(x, mean, precision):
-    return 0.5 * math.log(precision / (2.0 * math.pi)) - 0.5 * precision * (x - mean) ** 2
+def endpoint_draw(rng, shift, lam):
+    """Endpoints from the shifted-exponential prior: shift + Exponential(rate lam)."""
+    return shift + rng.exponential(1.0 / lam)
 
 
 def _expm1(x: float) -> float:
@@ -181,6 +235,7 @@ class HierarchicalModel:
         self.shift_y = float(np.nanmax(y)) if shift_y is None else float(shift_y)
         self.shift_x = float(np.max(x)) if shift_x is None else float(shift_x)
         self.priors = priors
+        self.laws = prior_table(priors)
         self.family = correlation_family
         self.d = net.scaled_distances
         self.obs_idx = net.observed_indices
@@ -220,11 +275,7 @@ class HierarchicalModel:
         return float(sum(mg.loglik(*mg.params(state)).sum() for mg in self.margins))
 
     def _in_box(self, state: ModelState) -> bool:
-        p = self.priors
-        return (all(getattr(state, mg.kappa) > 0 and p.xi_low < getattr(state, mg.xi) < p.xi_high
-                    for mg in self.margins)
-                and p.alpha_low < state.alpha < p.alpha_high
-                and state.tau_w > 0 and state.tau_z > 0)
+        return all(law.lo < getattr(state, name) < law.hi for name, law in self.laws.items())
 
     def log_prior(self, state: ModelState) -> float:
         if not self._in_box(state):
@@ -244,16 +295,9 @@ class HierarchicalModel:
         ``endpoint_grids`` the per-margin endpoint-prior grids.  log_prior
         computes them from scratch, the sampler passes its cached ones.
         """
-        p = self.priors
         out = 0.0
-        for mg in self.margins:
-            out += _normal_logpdf(getattr(state, mg.beta), p.beta_mean, p.beta_precision)
-        for mg in self.margins:
-            out += _gamma_logpdf(getattr(state, mg.kappa), p.kappa_shape, p.kappa_rate)
-        out -= len(self.margins) * math.log(p.xi_high - p.xi_low)
-        out += _gamma_logpdf(state.tau_w, p.tau_shape, p.tau_rate)
-        out += _gamma_logpdf(state.tau_z, p.tau_shape, p.tau_rate)
-        out -= math.log(p.alpha_high - p.alpha_low)
+        for name, law in self.laws.items():
+            out += law.logpdf(getattr(state, name))
         out += spatial_logdensity_from_quad(state.w.size, state.tau_w, logdet_w, quad_w)
         out += rw1_logdensity_from_quad(state.z.size, state.tau_z, quad_z)
         out += float(sum(grid.sum() for grid in endpoint_grids))
@@ -269,23 +313,12 @@ class HierarchicalModel:
 
     def sample_prior_state(self, rng) -> ModelState:
         """Forward draw of every unknown given the fixed shifts."""
-        p = self.priors
-        draw = {}
+        draw = {name: law.draw(rng) for name, law in self.laws.items()}
+        w = sample_spatial_field(self.chol_factor(draw["alpha"]), draw["tau_w"], rng)
+        z = sample_rw1_constrained(self.n_times, draw["tau_z"], rng)
         for mg in self.margins:
-            draw[mg.beta] = rng.normal(p.beta_mean, 1.0 / math.sqrt(p.beta_precision))
-        for mg in self.margins:
-            draw[mg.kappa] = rng.gamma(p.kappa_shape, 1.0 / p.kappa_rate)
-        for mg in self.margins:
-            draw[mg.xi] = rng.uniform(p.xi_low, p.xi_high)
-        alpha = rng.uniform(p.alpha_low, p.alpha_high)
-        tau_w = rng.gamma(p.tau_shape, 1.0 / p.tau_rate)
-        tau_z = rng.gamma(p.tau_shape, 1.0 / p.tau_rate)
-        w = sample_spatial_field(self.chol_factor(alpha), tau_w, rng)
-        z = sample_rw1_constrained(self.n_times, tau_z, rng)
-        for mg in self.margins:
-            lam = rates(draw[mg.beta], w[mg.rows], z)
-            draw[mg.delta] = mg.shift + rng.exponential(1.0 / lam)
-        return ModelState(alpha=alpha, tau_w=tau_w, tau_z=tau_z, w=w, z=z, **draw)
+            draw[mg.delta] = endpoint_draw(rng, mg.shift, rates(draw[mg.beta], w[mg.rows], z))
+        return ModelState(w=w, z=z, **draw)
 
     def sample_panels(self, state: ModelState, rng):
         """Draw (y, x) panels from the EGPD cells of the given state."""
@@ -295,19 +328,15 @@ class HierarchicalModel:
     # -- initialization ---------------------------------------------------------
 
     def initialize_state(self) -> ModelState:
-        sd_y = float(np.nanstd(self.y))
-        sd_x = float(np.std(self.x))
-        if sd_y <= 0 or sd_x <= 0:
-            raise DataValidationError("degenerate (constant) panel; cannot initialize")
-        state = ModelState(
-            beta_y=0.0, beta_x=0.0, kappa_y=1.0, kappa_x=1.0,
-            xi_y=-0.1, xi_x=-0.1, alpha=0.3, tau_w=1.0, tau_z=1.0,
-            w=np.zeros(self.n_total), z=np.zeros(self.n_times),
-            delta_y=np.full((self.n_obs, self.n_times),
-                            max(self.shift_y, float(np.nanmax(self.y))) + sd_y),
-            delta_x=np.full((self.n_total, self.n_times),
-                            max(self.shift_x, float(np.max(self.x))) + sd_x),
-        )
+        start = {}
+        for mg, panel in zip(self.margins, (self.y, self.x)):
+            sd = float(np.nanstd(panel))
+            if sd <= 0:
+                raise DataValidationError("degenerate (constant) panel; cannot initialize")
+            start.update({mg.beta: 0.0, mg.kappa: 1.0, mg.xi: -0.1})
+            start[mg.delta] = np.full(panel.shape, max(mg.shift, float(np.nanmax(panel))) + sd)
+        state = ModelState(alpha=0.3, tau_w=1.0, tau_z=1.0, w=np.zeros(self.n_total),
+                           z=np.zeros(self.n_times), **start)
         lp = self.log_posterior(state)
         if not np.isfinite(lp):
             raise NumericalError("initial state has non-finite log-posterior")
@@ -317,20 +346,6 @@ class HierarchicalModel:
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
-
-def _logit_box(x, lo, hi):
-    return logit((x - lo) / (hi - lo))
-
-
-def _expit_box(t, lo, hi):
-    return lo + (hi - lo) * expit(t)
-
-
-def _log_jac_box(t, lo, hi):
-    # |dx/dt| = (hi - lo) * p * (1 - p) for p = expit(t)
-    return math.log(hi - lo) - t - 2.0 * math.log1p(math.exp(-t)) if t > 0 else \
-        math.log(hi - lo) + t - 2.0 * math.log1p(math.exp(t))
-
 
 class MwgSampler:
     """Adaptive single-site Metropolis-within-Gibbs over a HierarchicalModel.
@@ -428,110 +443,73 @@ class MwgSampler:
 
     # -- scalar updates -----------------------------------------------------------
 
+    def _metropolis(self, name, term):
+        """One random-walk Metropolis step for scalar ``name`` on its prior's scale.
+
+        ``term(prop)`` returns the block's own part of the log-ratio and a
+        payload, or None to reject the proposal outright.  The step adds the
+        prior ratio and the move's log-Jacobian, and returns the payload if it
+        accepts, else None.
+        """
+        law = self.model.laws[name]
+        cur = getattr(self.state, name)
+        prop, log_jac = law.move(cur, math.exp(self.log_scales[name]) * self.rng.standard_normal())
+        own = term(prop) if law.lo < prop < law.hi else None
+        acc = own is not None and self._accept(
+            own[0] + law.logpdf(prop) - law.logpdf(cur) + log_jac)
+        if acc:
+            setattr(self.state, name, prop)
+        self._adapt(name, acc)
+        return own[1] if acc else None
+
     def _update_beta(self, mg: Margin):
         # beta -> beta + d scales every lambda of the margin by e^d
-        m, s = self.model, self.state
-        p = m.priors
-        cur = getattr(s, mg.beta)
-        d = math.exp(self.log_scales[mg.beta]) * self.rng.standard_normal()
-        prop = cur + d
+        cur = getattr(self.state, mg.beta)
         e_beta, e_w, e_z, gap = self._rate_factors(mg)
         lam_gap = e_beta * (e_w @ gap @ e_z)
-        log_ratio = gap.size * d - _expm1(d) * lam_gap \
-            + _normal_logpdf(prop, p.beta_mean, p.beta_precision) \
-            - _normal_logpdf(cur, p.beta_mean, p.beta_precision)
-        acc = self._accept(log_ratio)
-        if acc:
-            setattr(s, mg.beta, prop)
-        self._adapt(mg.beta, acc)
+        self._metropolis(mg.beta, lambda prop: (
+            gap.size * (prop - cur) - _expm1(prop - cur) * lam_gap, None))
 
     def _update_kappa(self, mg: Margin):
-        m, s = self.model, self.state
-        p = m.priors
-        cur = getattr(s, mg.kappa)
-        prop = cur * math.exp(math.exp(self.log_scales[mg.kappa]) * self.rng.standard_normal())
-        if prop <= 0 or not np.isfinite(prop):
-            self._adapt(mg.kappa, False)
-            return
-        delta, xi, _ = mg.params(s)
-        ll_new = mg.loglik(delta, xi, prop)
-        log_ratio = ll_new.sum() - self.ll[mg.name].sum() \
-            + _gamma_logpdf(prop, p.kappa_shape, p.kappa_rate) \
-            - _gamma_logpdf(cur, p.kappa_shape, p.kappa_rate) \
-            + math.log(prop) - math.log(cur)  # log-scale Jacobian
-        acc = self._accept(log_ratio)
-        if acc:
-            setattr(s, mg.kappa, prop)
-            self.ll[mg.name] = ll_new
-        self._adapt(mg.kappa, acc)
+        delta, xi, _ = mg.params(self.state)
+        self._margin_step(mg, mg.kappa, lambda kappa: mg.loglik(delta, xi, kappa))
 
     def _update_xi(self, mg: Margin):
-        m, s = self.model, self.state
-        p = m.priors
-        cur = getattr(s, mg.xi)
-        t_cur = _logit_box(cur, p.xi_low, p.xi_high)
-        t_prop = t_cur + math.exp(self.log_scales[mg.xi]) * self.rng.standard_normal()
-        prop = _expit_box(t_prop, p.xi_low, p.xi_high)
-        if not (p.xi_low < prop < p.xi_high):
-            self._adapt(mg.xi, False)
-            return
-        delta, _, kappa = mg.params(s)
-        ll_new = mg.loglik(delta, prop, kappa)
-        log_ratio = ll_new.sum() - self.ll[mg.name].sum() \
-            + _log_jac_box(t_prop, p.xi_low, p.xi_high) \
-            - _log_jac_box(t_cur, p.xi_low, p.xi_high)
-        acc = self._accept(log_ratio)
-        if acc:
-            setattr(s, mg.xi, prop)
+        delta, _, kappa = mg.params(self.state)
+        self._margin_step(mg, mg.xi, lambda xi: mg.loglik(delta, xi, kappa))
+
+    def _margin_step(self, mg: Margin, name, loglik):
+        """Metropolis step for a scalar of one EGPD margin, given its per-cell log-likelihood."""
+        def term(prop):
+            ll_new = loglik(prop)
+            return ll_new.sum() - self.ll[mg.name].sum(), ll_new
+
+        ll_new = self._metropolis(name, term)
+        if ll_new is not None:
             self.ll[mg.name] = ll_new
-        self._adapt(mg.xi, acc)
 
     def _update_alpha(self):
-        m, s = self.model, self.state
-        p = m.priors
-        t_cur = _logit_box(s.alpha, p.alpha_low, p.alpha_high)
-        t_prop = t_cur + math.exp(self.log_scales["alpha"]) * self.rng.standard_normal()
-        prop = _expit_box(t_prop, p.alpha_low, p.alpha_high)
-        if not (p.alpha_low < prop < p.alpha_high):
-            self._adapt("alpha", False)
-            return
-        try:
-            factor_new = m.chol_factor(prop)
-        except NumericalError:
-            self._adapt("alpha", False)
-            return
-        quad_new = factor_new.quad_form(s.w)
-        log_ratio = -0.5 * (factor_new.logdet - self.factor.logdet) \
-            - 0.5 * s.tau_w * (quad_new - self.quad_w) \
-            + _log_jac_box(t_prop, p.alpha_low, p.alpha_high) \
-            - _log_jac_box(t_cur, p.alpha_low, p.alpha_high)
-        acc = self._accept(log_ratio)
-        if acc:
-            s.alpha = prop
-            self.factor = factor_new
-            self.quad_w = quad_new
-        self._adapt("alpha", acc)
+        def term(alpha):
+            try:
+                factor = self.model.chol_factor(alpha)
+            except NumericalError:
+                return None
+            quad = factor.quad_form(self.state.w)
+            return -0.5 * (factor.logdet - self.factor.logdet) \
+                - 0.5 * self.state.tau_w * (quad - self.quad_w), (factor, quad)
+
+        accepted = self._metropolis("alpha", term)
+        if accepted is not None:
+            self.factor, self.quad_w = accepted
 
     def _update_tau(self, which: str):
-        m, s = self.model, self.state
-        p = m.priors
+        s = self.state
         cur = getattr(s, which)
-        prop = cur * math.exp(math.exp(self.log_scales[which]) * self.rng.standard_normal())
-        if prop <= 0 or not np.isfinite(prop):
-            self._adapt(which, False)
-            return
         # (degrees of freedom, quadratic form) of the field this precision scales
         n_eff, quad = {"tau_w": (s.w.size, self.quad_w),
                        "tau_z": (s.z.size - 1, self.quad_z)}[which]
-        log_ratio = 0.5 * n_eff * (math.log(prop) - math.log(cur)) \
-            - 0.5 * quad * (prop - cur) \
-            + _gamma_logpdf(prop, p.tau_shape, p.tau_rate) \
-            - _gamma_logpdf(cur, p.tau_shape, p.tau_rate) \
-            + math.log(prop) - math.log(cur)
-        acc = self._accept(log_ratio)
-        if acc:
-            setattr(s, which, prop)
-        self._adapt(which, acc)
+        self._metropolis(which, lambda tau: (
+            0.5 * n_eff * (math.log(tau) - math.log(cur)) - 0.5 * quad * (tau - cur), None))
 
     # -- latent field updates ------------------------------------------------------
 
@@ -646,10 +624,9 @@ class MwgSampler:
 
 
 def run_chain(model: HierarchicalModel, cfg: McmcConfig, rng,
-              init: ModelState | None = None, chain_index: int = 0) -> PosteriorDraws:
-    """Run one chain and return the thinned post-burn-in draws."""
-    state = model.initialize_state() if init is None else init
-    sampler = MwgSampler(model, state, rng)
+              chain_index: int = 0) -> PosteriorDraws:
+    """Run one chain from the model's initial state; return the thinned post-burn-in draws."""
+    sampler = MwgSampler(model, model.initialize_state(), rng)
     kept, logpost = [], []
     if cfg.iterations == 0:
         kept.append(sampler.state.copy())

@@ -10,7 +10,7 @@ import numpy as np
 from .calibration import conditional_map
 from .draws import PosteriorDraws
 from .errors import DomainError
-from .model import rates
+from .model import endpoint_draw, rates
 
 SUMMARY_COLUMNS = ("mean", "sd", "q2.5", "median", "q97.5", "min", "max")
 SUMMARY_ROW_ORDER = ("alpha", "beta_y", "beta_x", "kappa_y", "kappa_x",
@@ -54,7 +54,7 @@ def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> Calibra
         delta_y_full[d, obs_idx] = draws.delta_y[d]
         if sim_only.size:
             lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
-            delta_y_full[d, sim_only] = draws.shift_y + rng.exponential(1.0 / lam)
+            delta_y_full[d, sim_only] = endpoint_draw(rng, draws.shift_y, lam)
 
     # Welford's running mean and sum of squared deviations: E[x^2] - E[x]^2
     # cancels catastrophically when the draws nearly agree
