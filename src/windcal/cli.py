@@ -36,7 +36,8 @@ from .data import (
 from .draws import SCALAR_NAMES, PosteriorDraws
 from .egpd import EgpdParams
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
-from .model import HierarchicalModel, McmcConfig, PriorSpec, run_mcmc
+from .latent import CORRELATION_FAMILIES
+from .model import HierarchicalModel, McmcConfig, PriorSpec, prior_faults, run_mcmc
 from .predictive import CalibratedField, calibrate_field, export_figures, summarize_posterior
 
 EXIT_OK = 0
@@ -47,6 +48,12 @@ EXIT_NUMERIC = 3
 MODES = ("marginal-empirical", "marginal-parametric", "hierarchical")
 
 _PATH_KEYS = ("stations", "observed", "simulated", "output_dir")
+
+# the words each word-valued key accepts, and what they are read as
+_CHOICES = {"mode": {m: m for m in MODES},
+            "correlation_family": {f: f for f in CORRELATION_FAMILIES},
+            "full_dump": {"0": False, "1": True, "true": True, "false": False,
+                          "yes": True, "no": False}}
 
 
 @dataclass
@@ -84,12 +91,15 @@ class RunConfig:
         return d
 
 
+def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
+    return DataValidationError(f"{where}: {key} = {text!r} {rule}")
+
+
 def _convert(kind, text: str, where: str, key: str):
     try:
         return kind(text)
     except ValueError:
-        raise DataValidationError(
-            f"{where}: {key} = {text!r} is not a valid {kind.__name__}") from None
+        raise _bad(where, key, text, f"is not a valid {kind.__name__}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -121,8 +131,12 @@ def parse_config(path) -> RunConfig:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in ("seed", "iterations", "burn_in", "thinning", "chains"):
             cfg_kwargs[key] = _convert(int, value, where, key)
-        elif key == "full_dump":
-            cfg_kwargs[key] = value.strip() in ("1", "true", "yes")
+            if key == "seed" and cfg_kwargs[key] < 0:
+                raise _bad(where, key, value, "must be >= 0")
+        elif key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
+            cfg_kwargs[key] = _CHOICES[key][value]
         elif key == "figure_days":
             cfg_kwargs[key] = tuple(_convert(int, v, where, key)
                                     for v in value.split(",") if v.strip())
@@ -132,6 +146,12 @@ def parse_config(path) -> RunConfig:
             cfg_kwargs[key] = value
     if prior_kwargs:
         cfg_kwargs["priors"] = PriorSpec(**prior_kwargs)
+        faults = prior_faults(cfg_kwargs["priors"])
+        if faults:
+            fields, rule = faults[0]
+            # name the last of the rule's keys the file sets; the defaults break no rule
+            key = [f"prior_{f}" for f in fields if f"prior_{f}" in raw][-1]
+            raise _bad(raw[key][1], key, raw[key][0], rule)
     return RunConfig(**cfg_kwargs)
 
 

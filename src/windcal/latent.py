@@ -199,7 +199,7 @@ def sample_rw1_constrained(n: int, tau_z: float, rng) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     k = np.arange(1, n)
-    lam = 2.0 - 2.0 * np.cos(math.pi * k / n)
+    lam = rw1_eigenvalues(n)
     # orthonormal DCT-II style eigenvectors of the RW1 structure matrix
     j = np.arange(n)
     vecs = np.cos(math.pi * np.outer(k, j + 0.5) / n) * math.sqrt(2.0 / n)

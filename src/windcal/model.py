@@ -98,8 +98,28 @@ def _log_jac_box(t, lo, hi):
         math.log(hi - lo) + t - 2.0 * math.log1p(math.exp(t))
 
 
+def prior_faults(p: PriorSpec) -> list:
+    """The rules the hyperparameters break, each as (the fields it names, the rule).
+
+    Each box lies inside the range its scalar may take: xi < 0 for the
+    endpoint form, alpha > 0 for a correlation range.
+    """
+    rules = [((f,), "must be finite and > 0", 0.0 < getattr(p, f) < math.inf)
+             for f in ("beta_precision", "kappa_shape", "kappa_rate", "tau_shape", "tau_rate")]
+    rules += [(("beta_mean",), "must be finite", math.isfinite(p.beta_mean)),
+              (("xi_low", "xi_high"), "must satisfy -inf < xi_low < xi_high <= 0",
+               -math.inf < p.xi_low < p.xi_high <= 0.0),
+              (("alpha_low", "alpha_high"), "must satisfy 0 < alpha_low < alpha_high < inf",
+               0.0 < p.alpha_low < p.alpha_high < math.inf)]
+    return [(fields, rule) for fields, rule, ok in rules if not ok]
+
+
 def prior_table(p: PriorSpec) -> dict:
     """The Law of every scalar in SCALAR_NAMES, in that order."""
+    faults = prior_faults(p)
+    if faults:
+        fields, rule = faults[0]
+        raise DomainError(f"prior {', '.join(fields)} {rule}")
     family = {"beta": _normal(p.beta_mean, p.beta_precision),
               "kappa": _gamma(p.kappa_shape, p.kappa_rate),
               "xi": _uniform(p.xi_low, p.xi_high),

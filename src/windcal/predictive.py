@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import conditional_map
-from .draws import PosteriorDraws
+from .draws import SCALAR_NAMES, PosteriorDraws
 from .errors import DomainError
 from .model import endpoint_draw, rates
 
 SUMMARY_COLUMNS = ("mean", "sd", "q2.5", "median", "q97.5", "min", "max")
-SUMMARY_ROW_ORDER = ("alpha", "beta_y", "beta_x", "kappa_y", "kappa_x",
-                     "tau_w", "tau_z", "xi_y", "xi_x")
+# scalars grouped by parameter, groups in alphabetical order
+SUMMARY_ROW_ORDER = tuple(sorted(SCALAR_NAMES, key=lambda name: name.split("_")[0]))
 
 
 @dataclass

@@ -119,7 +119,12 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{panel}.csv line 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, literal", [("iterations", "abc"), ("prior_tau_rate", "x")])
+    @pytest.mark.parametrize("key, literal", [
+        ("iterations", "abc"), ("prior_tau_rate", "x"), ("prior_tau_rate", "-1"),
+        ("prior_tau_rate", "nan"), ("prior_beta_precision", "0"), ("prior_kappa_shape", "0"),
+        ("prior_xi_high", "0.3"), ("prior_alpha_low", "-0.2"), ("full_dump", "2"),
+        ("full_dump", "ture"), ("mode", "bogus"), ("correlation_family", "foo"),
+        ("seed", "-3")])
     def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
                                                      key, literal):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})

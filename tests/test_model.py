@@ -64,6 +64,13 @@ class TestModelValidation:
         with pytest.raises(DataValidationError):
             HierarchicalModel(np.ones((3, 5)), good_x, net)
 
+    @pytest.mark.parametrize("bad", [dict(tau_rate=-1.0), dict(kappa_shape=0.0),
+                                     dict(beta_mean=math.inf), dict(xi_high=0.3),
+                                     dict(xi_low=0.0), dict(alpha_low=-0.2)])
+    def test_rejects_bad_priors(self, bad):
+        with pytest.raises(DomainError):
+            toy_model(priors=PriorSpec(**bad))
+
     def test_rejects_missing_simulated_cells(self):
         net = toy_network()
         x = np.ones((5, 4))
@@ -184,8 +191,10 @@ class TestSampler:
 
     def test_block_log_ratios_match_log_posterior(self):
         # accept every proposal, so consecutive states are (current, proposed)
-        # pairs; the ratio each beta/w/z block builds from its sums of
-        # lambda * (delta - shift) must equal the change in the full posterior
+        # pairs; the ratio each block builds (beta/w/z from their sums of
+        # lambda * (delta - shift)) must equal the change in the full
+        # posterior plus the log-Jacobian of the move: kappa and tau move on
+        # log scale, xi and alpha on the logit of their box, the rest unscaled
         m = toy_model(seed=0, n_total=6, n_obs=4, n_times=12, missing_rate=0.2,
                       priors=PriorSpec(kappa_shape=2.0, kappa_rate=0.5))
         rng = np.random.default_rng(0)
@@ -193,23 +202,42 @@ class TestSampler:
         m.replace_data(*m.sample_panels(state, rng))
         assert np.isnan(m.y).any()
         sampler = MwgSampler(m, state, rng)
+        p = m.priors
+        boxes = {"xi": (p.xi_low, p.xi_high), "alpha": (p.alpha_low, p.alpha_high)}
+
+        def log_jac(name, value):
+            family = name.split("_")[0]
+            if family in ("kappa", "tau"):
+                return math.log(value)
+            if family in boxes:
+                return _log_jac_box(_logit_box(value, *boxes[family]), *boxes[family])
+            return 0.0
+
         seen = []
 
         def accept_all(log_ratio):
-            seen.append((log_ratio, m.log_posterior(sampler.state)))
+            seen.append((log_ratio, m.log_posterior(sampler.state), sampler.state.copy()))
             return True
 
         sampler._accept = accept_all
-        blocks = [lambda: sampler._update_beta(m.margins[0]),
-                  lambda: sampler._update_beta(m.margins[1]),
-                  sampler._update_w, sampler._update_z]
-        for block in blocks:
+        blocks = [(lambda update=update, mg=mg: update(mg), getattr(mg, slot), 1)
+                  for update, slot in ((sampler._update_beta, "beta"),
+                                       (sampler._update_kappa, "kappa"),
+                                       (sampler._update_xi, "xi"))
+                  for mg in m.margins]
+        blocks += [(sampler._update_alpha, "alpha", 1),
+                   (lambda: sampler._update_tau("tau_w"), "tau_w", 1),
+                   (lambda: sampler._update_tau("tau_z"), "tau_z", 1),
+                   (sampler._update_w, "w", m.n_total), (sampler._update_z, "z", m.n_times)]
+        for block, name, n_proposals in blocks:
             seen.clear()
             block()
-            after = [lp for _, lp in seen[1:]] + [m.log_posterior(sampler.state)]
-            for (log_ratio, before), lp_after in zip(seen, after):
-                assert log_ratio == pytest.approx(lp_after - before, rel=1e-10)
-        assert len(seen) == m.n_times
+            assert len(seen) == n_proposals, name
+            after = [(lp, st) for _, lp, st in seen[1:]]
+            after.append((m.log_posterior(sampler.state), sampler.state))
+            for (log_ratio, lp_before, before), (lp_after, now) in zip(seen, after):
+                jac = log_jac(name, getattr(now, name)) - log_jac(name, getattr(before, name))
+                assert log_ratio == pytest.approx(lp_after - lp_before + jac, rel=1e-10), name
 
     def test_z_stays_sum_zero(self):
         m = toy_model(seed=2)
