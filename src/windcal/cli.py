@@ -12,7 +12,6 @@ WINDCAL_OUTPUT_DIR.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -30,14 +29,16 @@ from .data import (
     generate_synthetic,
     load_network,
     load_panel,
+    write_long_csv,
     write_network_csv,
     write_panel_csv,
+    write_table,
 )
 from .draws import SCALAR_NAMES, PosteriorDraws
 from .egpd import EgpdParams
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import CORRELATION_FAMILIES
-from .model import HierarchicalModel, McmcConfig, PriorSpec, prior_faults, run_mcmc
+from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
 from .predictive import CalibratedField, calibrate_field, export_figures, summarize_posterior
 
 EXIT_OK = 0
@@ -119,40 +120,33 @@ def parse_config(path) -> RunConfig:
         env = os.environ.get(f"WINDCAL_{key.upper()}")
         if env:
             raw[key] = (env, f"WINDCAL_{key.upper()}")
-    prior_kwargs = {}
-    cfg_kwargs = {}
-    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    prior_fields = {f.name for f in dataclasses.fields(PriorSpec)}
+    # each key is read with the type of its field's default
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "priors"}
+    defaults.update((f"prior_{f.name}", f.default) for f in dataclasses.fields(PriorSpec))
+    values = {}
     for key, (value, where) in raw.items():
-        if key.startswith("prior_") and key[len("prior_"):] in prior_fields:
-            prior_kwargs[key[len("prior_"):]] = _convert(float, value, where, key)
-            continue
-        if key not in field_types:
+        if key not in defaults:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
-        if key in ("seed", "iterations", "burn_in", "thinning", "chains"):
-            cfg_kwargs[key] = _convert(int, value, where, key)
-            if key == "seed" and cfg_kwargs[key] < 0:
-                raise _bad(where, key, value, "must be >= 0")
-        elif key in _CHOICES:
+        if key in _CHOICES:
             if value not in _CHOICES[key]:
                 raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
-            cfg_kwargs[key] = _CHOICES[key][value]
+            values[key] = _CHOICES[key][value]
         elif key == "figure_days":
-            cfg_kwargs[key] = tuple(_convert(int, v, where, key)
-                                    for v in value.split(",") if v.strip())
-        elif key.startswith(("source_", "target_")):
-            cfg_kwargs[key] = _convert(float, value, where, key)
+            values[key] = tuple(_convert(int, v, where, key)
+                                for v in value.split(",") if v.strip())
         else:
-            cfg_kwargs[key] = value
-    if prior_kwargs:
-        cfg_kwargs["priors"] = PriorSpec(**prior_kwargs)
-        faults = prior_faults(cfg_kwargs["priors"])
-        if faults:
-            fields, rule = faults[0]
-            # name the last of the rule's keys the file sets; the defaults break no rule
-            key = [f"prior_{f}" for f in fields if f"prior_{f}" in raw][-1]
-            raise _bad(raw[key][1], key, raw[key][0], rule)
-    return RunConfig(**cfg_kwargs)
+            values[key] = _convert(type(defaults[key]), value, where, key)
+    prior_keys = [k for k in values if k.startswith("prior_")]
+    priors = PriorSpec(**{k.removeprefix("prior_"): values.pop(k) for k in prior_keys})
+    cfg = RunConfig(priors=priors, **values)
+    faults = [([f"prior_{f}" for f in fields], rule) for fields, rule in prior_faults(priors)]
+    faults += mcmc_faults(cfg)
+    if faults:
+        keys, rule = faults[0]
+        # name the last of the rule's keys the file sets; the defaults break no rule
+        key = [k for k in raw if k in keys][-1]
+        raise _bad(raw[key][1], key, raw[key][0], rule)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -160,58 +154,38 @@ def parse_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_calibrated_csv(path, net, panel: PanelData, field_: CalibratedField):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "date", "x_sim", "x_calibrated", "pred_sd", "clamped"])
-        for i, sid in enumerate(net.ids):
-            for j, date in enumerate(panel.dates):
-                writer.writerow([sid, date, repr(float(panel.x[i, j])),
-                                 repr(float(field_.values[i, j])),
-                                 repr(float(field_.sd[i, j])),
-                                 int(field_.clamped[i, j])])
+    write_long_csv(path, net.ids, panel.dates,
+                   {"x_sim": panel.x, "x_calibrated": field_.values,
+                    "pred_sd": field_.sd, "clamped": field_.clamped})
 
 
 def _write_posterior_csv(path, draws: PosteriorDraws, full_dump: bool):
-    header = ["draw", "chain"] + list(SCALAR_NAMES) + ["delta_y_mean", "delta_x_mean"]
+    header = ["draw", "chain", *SCALAR_NAMES, "delta_y_mean", "delta_x_mean"]
+    latent = np.empty((draws.n_draws, 0))
     if full_dump:
-        n_s = draws.w.shape[1]
-        n_t = draws.z.shape[1]
-        header += [f"w_{i}" for i in range(n_s)] + [f"z_{j}" for j in range(n_t)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for d in range(draws.n_draws):
-            row = [d, int(draws.chain[d])]
-            row += [repr(float(draws.scalars[name][d])) for name in SCALAR_NAMES]
-            row += [repr(float(draws.delta_y[d].mean())), repr(float(draws.delta_x[d].mean()))]
-            if full_dump:
-                row += [repr(float(v)) for v in draws.w[d]]
-                row += [repr(float(v)) for v in draws.z[d]]
-            writer.writerow(row)
+        header += [f"w_{i}" for i in range(draws.w.shape[1])]
+        header += [f"z_{j}" for j in range(draws.z.shape[1])]
+        latent = np.hstack([draws.w, draws.z])
+    write_table(path, header,
+                ([d, draws.chain[d], *(draws.scalars[name][d] for name in SCALAR_NAMES),
+                  draws.delta_y[d].mean(), draws.delta_x[d].mean(), *latent[d]]
+                 for d in range(draws.n_draws)))
 
 
 def _write_summary_csv(path, table: dict):
     from .predictive import SUMMARY_COLUMNS
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter"] + list(SUMMARY_COLUMNS))
-        for name, row in table.items():
-            writer.writerow([name] + [repr(row[c]) for c in SUMMARY_COLUMNS])
+    write_table(path, ["parameter", *SUMMARY_COLUMNS],
+                ([name, *(row[c] for c in SUMMARY_COLUMNS)] for name, row in table.items()))
 
 
 def _write_diagnostics(outdir, draws: PosteriorDraws, iterations: int, chains: int):
-    with open(os.path.join(outdir, "acceptance.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "acceptance_rate"])
-        for block, rate in draws.acceptance.items():
-            writer.writerow([block, repr(float(rate))])
+    write_table(os.path.join(outdir, "acceptance.csv"), ["block", "acceptance_rate"],
+                draws.acceptance.items())
     per_chain = max(iterations, 1)
-    with open(os.path.join(outdir, "logposterior.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iteration", "log_posterior"])
-        for idx, lp in enumerate(draws.log_posterior):
-            writer.writerow([idx // per_chain, idx % per_chain, repr(float(lp))])
+    write_table(os.path.join(outdir, "logposterior.csv"), ["chain", "iteration", "log_posterior"],
+                ([idx // per_chain, idx % per_chain, lp]
+                 for idx, lp in enumerate(draws.log_posterior)))
 
 
 def _save_draws_npz(path, draws: PosteriorDraws):
@@ -336,28 +310,17 @@ def _export_day(outdir, net, panel, draws, field_, day, svg=False):
     bundle = export_figures(field_, _expand_y(panel, net), panel.x, draws,
                             net.ids, day)
     prefix = os.path.join(outdir, f"day{day:03d}")
-    with open(prefix + "_kde.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "dens_observed", "dens_simulated", "dens_calibrated"])
-        for k in range(bundle.kde_grid.size):
-            writer.writerow([repr(float(bundle.kde_grid[k])),
-                             repr(float(bundle.kde_observed[k])),
-                             repr(float(bundle.kde_simulated[k])),
-                             repr(float(bundle.kde_calibrated[k]))])
-    with open(prefix + "_stations.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "observed", "simulated", "calibrated"])
-        for i, sid in enumerate(bundle.station_ids):
-            obs = bundle.observed[i]
-            writer.writerow([sid, "" if np.isnan(obs) else repr(float(obs)),
-                             repr(float(bundle.simulated[i])),
-                             repr(float(bundle.calibrated[i]))])
-    with open(os.path.join(outdir, "sigma_boxplot.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "panel", "min", "q1", "median", "q3", "max"])
-        for j in range(bundle.sigma_y_box.shape[0]):
-            writer.writerow([j, "y"] + [repr(float(v)) for v in bundle.sigma_y_box[j]])
-            writer.writerow([j, "x"] + [repr(float(v)) for v in bundle.sigma_x_box[j]])
+    write_table(prefix + "_kde.csv",
+                ["value", "dens_observed", "dens_simulated", "dens_calibrated"],
+                zip(bundle.kde_grid, bundle.kde_observed, bundle.kde_simulated,
+                    bundle.kde_calibrated))
+    write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
+                ([sid, "" if np.isnan(obs) else obs, sim, cal] for sid, obs, sim, cal in
+                 zip(bundle.station_ids, bundle.observed, bundle.simulated, bundle.calibrated)))
+    write_table(os.path.join(outdir, "sigma_boxplot.csv"),
+                ["day", "panel", "min", "q1", "median", "q3", "max"],
+                ([j, name, *box[j]] for j in range(bundle.sigma_y_box.shape[0])
+                 for name, box in (("y", bundle.sigma_y_box), ("x", bundle.sigma_x_box))))
     if svg:
         _render_svg(prefix, bundle)
 

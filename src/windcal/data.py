@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -136,25 +137,50 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     return PanelData(y=y, x=x, dates=dates)
 
 
-def write_panel_csv(path, values, ids, dates):
-    """Write a long-form panel CSV; NaN cells are omitted."""
+# cells csv writes as wanted without conversion; floats are written as their repr
+_PLAIN = frozenset((float, int, str))
+
+
+def _cell(value):
+    """A numpy value as a Python one, and a bool as 0/1."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return int(value) if isinstance(value, bool) else value
+
+
+def write_table(path, header, rows):
+    """Write a CSV table with one header row; the one writer of windcal's CSV files."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["station_id", "date", "value"])
+        writer.writerow(header)
+        # the type test runs once per cell and spares the call for plain cells
+        writer.writerows([v if type(v) in _PLAIN else _cell(v) for v in row] for row in rows)
+
+
+def write_long_csv(path, ids, dates, columns: dict):
+    """Write station-major station_id,date,<columns> rows from (station, date) arrays.
+
+    A cell whose first column is NaN is left out.  Rows are built one
+    station at a time.
+    """
+    def rows():
         for i, sid in enumerate(ids):
-            for j, date in enumerate(dates):
-                v = values[i, j]
-                if not np.isnan(v):
-                    writer.writerow([sid, date, repr(float(v))])
+            station = [col[i] for col in columns.values()]
+            yield from itertools.compress(
+                zip(itertools.repeat(sid), dates, *(col.tolist() for col in station)),
+                (~np.isnan(station[0])).tolist())
+
+    write_table(path, ["station_id", "date", *columns], rows())
+
+
+def write_panel_csv(path, values, ids, dates):
+    """Write a long-form panel CSV; NaN cells are omitted."""
+    write_long_csv(path, ids, dates, {"value": values})
 
 
 def write_network_csv(path, net: StationNetwork):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "x_km", "y_km", "observed"])
-        for i, sid in enumerate(net.ids):
-            writer.writerow([sid, repr(float(net.coords[i, 0])),
-                             repr(float(net.coords[i, 1])), int(net.observed[i])])
+    write_table(path, ["station_id", "x_km", "y_km", "observed"],
+                zip(net.ids, net.coords[:, 0], net.coords[:, 1], net.observed))
 
 
 @dataclass

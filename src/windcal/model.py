@@ -128,6 +128,21 @@ def prior_table(p: PriorSpec) -> dict:
     return {name: family[name.split("_")[0]] for name in SCALAR_NAMES}
 
 
+def mcmc_faults(c) -> list:
+    """The rules the run settings of ``c`` break, each as (the fields it names, the rule).
+
+    ``c`` is anything with McmcConfig's fields; a zero-iteration run keeps
+    only the initial state, so it takes no burn-in.
+    """
+    rules = [(("iterations",), "must be >= 0", c.iterations >= 0),
+             (("iterations", "burn_in"), "must satisfy 0 <= burn_in < iterations, or both 0",
+              c.burn_in == 0 or 0 < c.burn_in < c.iterations),
+             (("thinning",), "must be >= 1", c.thinning >= 1),
+             (("chains",), "must be >= 1", c.chains >= 1),
+             (("seed",), "must be >= 0", c.seed >= 0)]
+    return [(fields, rule) for fields, rule, ok in rules if not ok]
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     iterations: int = 4000
@@ -137,15 +152,10 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.thinning < 1:
-            raise DomainError("thinning must be >= 1")
-        if self.iterations == 0:
-            if self.burn_in != 0:
-                raise DomainError("zero-iteration run requires zero burn-in")
-        elif not 0 <= self.burn_in < self.iterations:
-            raise DomainError("burn-in must satisfy 0 <= burn_in < iterations")
-        if self.chains < 1:
-            raise DomainError("need at least one chain")
+        faults = mcmc_faults(self)
+        if faults:
+            fields, rule = faults[0]
+            raise DomainError(f"{', '.join(fields)} {rule}")
 
 
 @dataclass

@@ -44,27 +44,25 @@ def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> Calibra
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     obs_idx = np.asarray(obs_idx, dtype=int)
 
-    # full-grid target endpoints per draw: observed rows from the chain,
-    # simulator-only rows from the endpoint prior given the latents
-    nd = draws.n_draws
-    delta_y_full = np.empty((nd, n_total, n_times))
-    sim_only = np.setdiff1d(np.arange(n_total), obs_idx)
-    beta_y = draws.scalars["beta_y"]
-    for d in range(nd):
-        delta_y_full[d, obs_idx] = draws.delta_y[d]
-        if sim_only.size:
-            lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
-            delta_y_full[d, sim_only] = endpoint_draw(rng, draws.shift_y, lam)
-
     # Welford's running mean and sum of squared deviations: E[x^2] - E[x]^2
     # cancels catastrophically when the draws nearly agree
+    nd = draws.n_draws
     mean = np.zeros((n_total, n_times))
     sq_dev = np.zeros((n_total, n_times))
     clamp_count = np.zeros((n_total, n_times))
+    # target endpoints of one draw: observed rows from the chain,
+    # simulator-only rows from the endpoint prior given the latents
+    delta_y = np.empty((n_total, n_times))
+    sim_only = np.setdiff1d(np.arange(n_total), obs_idx)
+    beta_y = draws.scalars["beta_y"]
     for d in range(nd):
+        delta_y[obs_idx] = draws.delta_y[d]
+        if sim_only.size:
+            lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
+            delta_y[sim_only] = endpoint_draw(rng, draws.shift_y, lam)
         xs, clamped = conditional_map(
             x, draws.delta_x[d], draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
-            delta_y_full[d], draws.scalars["xi_y"][d], draws.scalars["kappa_y"][d])
+            delta_y, draws.scalars["xi_y"][d], draws.scalars["kappa_y"][d])
         dev = xs - mean
         mean += dev / (d + 1)
         sq_dev += dev * (xs - mean)

@@ -15,6 +15,8 @@ from windcal.cli import (
     main,
     parse_config,
 )
+from windcal.data import load_network, load_panel
+from windcal.draws import SCALAR_NAMES
 from windcal.errors import DataValidationError
 
 
@@ -124,7 +126,8 @@ class TestExitCodes:
         ("prior_tau_rate", "nan"), ("prior_beta_precision", "0"), ("prior_kappa_shape", "0"),
         ("prior_xi_high", "0.3"), ("prior_alpha_low", "-0.2"), ("full_dump", "2"),
         ("full_dump", "ture"), ("mode", "bogus"), ("correlation_family", "foo"),
-        ("seed", "-3")])
+        ("seed", "-3"), ("thinning", "0"), ("chains", "0"), ("iterations", "0"),
+        ("burn_in", "5000"), ("iterations", "-5")])
     def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
                                                      key, literal):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})
@@ -213,6 +216,34 @@ class TestHierarchicalPipeline:
         draws = load_draws_npz(run_dir / "draws.npz")
         assert draws.n_draws == 20
         assert draws.w.ndim == 2 and draws.delta_x.ndim == 3
+
+    def test_full_dump_writes_the_values_behind_it(self, tmp_path, dataset):
+        out = tmp_path / "full"
+        p = write_config(tmp_path / "full.cfg", dataset, out, iterations=30, burn_in=10,
+                         thinning=2, chains=2, seed=3, full_dump=1, figure_days="0,3")
+        assert main(["fit", "--config", str(p)]) == EXIT_OK
+        draws = load_draws_npz(out / "draws.npz")
+        rows = read_rows(out / "posterior.csv")
+        w_cols = [f"w_{i}" for i in range(5)]
+        z_cols = [f"z_{j}" for j in range(4)]
+        assert list(rows[0])[-9:] == w_cols + z_cols
+        assert len(rows) == draws.n_draws
+        for d, row in enumerate(rows):
+            assert int(row["chain"]) == draws.chain[d]
+            assert [float(row[name]) for name in SCALAR_NAMES] == \
+                [draws.scalars[name][d] for name in SCALAR_NAMES]
+            assert [float(row[c]) for c in w_cols] == draws.w[d].tolist()
+            assert [float(row[c]) for c in z_cols] == draws.z[d].tolist()
+        net = load_network(dataset / "stations.csv")
+        panel = load_panel(dataset / "observed.csv", dataset / "simulated.csv", net)
+        cal = read_rows(out / "calibrated.csv")
+        assert [(r["station_id"], r["date"]) for r in cal] == \
+            [(sid, date) for sid in net.ids for date in panel.dates]
+        assert [float(r["x_sim"]) for r in cal] == panel.x.ravel().tolist()
+        assert {r["clamped"] for r in cal} <= {"0", "1"}
+        box = read_rows(out / "sigma_boxplot.csv")
+        assert [(r["day"], r["panel"]) for r in box] == \
+            [(str(j), name) for j in range(4) for name in ("y", "x")]
 
     def test_summarize_subcommand(self, run_dir, tmp_path):
         out = tmp_path / "table.csv"

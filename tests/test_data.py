@@ -12,6 +12,7 @@ from windcal.data import (
     load_panel,
     write_network_csv,
     write_panel_csv,
+    write_table,
 )
 from windcal.errors import DataValidationError, DomainError
 from windcal.latent import StationNetwork
@@ -72,6 +73,16 @@ class TestCsvRoundtrip:
         assert np.array_equal(np.isnan(back.y), np.isnan(panel.y))
         assert np.allclose(back.x, panel.x)
         assert np.allclose(back.y[~np.isnan(back.y)], panel.y[~np.isnan(panel.y)])
+
+    def test_write_table_cells(self, tmp_path):
+        flags = np.array([True, False])
+        path = tmp_path / "table.csv"
+        write_table(path, ["a", "b", "c", "d", "e"],
+                    [[np.float64(0.1) + 0.2, 1 / 3, flags[0], 7, ""],
+                     [np.float64(1e-300), -2.5, flags[1], -1, ""]])
+        assert path.read_bytes() == (b"a,b,c,d,e\r\n"
+                                     b"0.30000000000000004,0.3333333333333333,1,7,\r\n"
+                                     b"1e-300,-2.5,0,-1,\r\n")
 
 
 class TestLoadValidation:
