@@ -35,7 +35,7 @@ from .data import (
     write_table,
 )
 from .draws import SCALAR_NAMES, PosteriorDraws
-from .egpd import EgpdParams
+from .egpd import EgpdParams, egpd_faults
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import CORRELATION_FAMILIES
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
@@ -48,7 +48,9 @@ EXIT_NUMERIC = 3
 
 MODES = ("marginal-empirical", "marginal-parametric", "hierarchical")
 
-_PATH_KEYS = ("stations", "observed", "simulated", "output_dir")
+_INPUT_KEYS = ("stations", "observed", "simulated")
+_PATH_KEYS = (*_INPUT_KEYS, "output_dir")
+_LAW_FIELDS = ("delta", "xi", "kappa")
 
 # the words each word-valued key accepts, and what they are read as
 _CHOICES = {"mode": {m: m for m in MODES},
@@ -84,12 +86,6 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["priors"] = dataclasses.asdict(self.priors)
-        d["figure_days"] = list(self.figure_days)
-        return d
 
 
 def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
@@ -141,9 +137,15 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig(priors=priors, **values)
     faults = [([f"prior_{f}" for f in fields], rule) for fields, rule in prior_faults(priors)]
     faults += mcmc_faults(cfg)
+    for side in ("source", "target"):
+        law = (getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS)
+        faults += [([f"{side}_{f}" for f in fields], rule) for fields, rule in egpd_faults(*law)]
+    # of the defaults only a law's delta breaks a rule: 0 stands for unset,
+    # and run() reports it where the mode reads the law
+    faults = [(keys, rule) for keys, rule in faults if any(k in raw for k in keys)]
     if faults:
         keys, rule = faults[0]
-        # name the last of the rule's keys the file sets; the defaults break no rule
+        # name the last of the rule's keys the file sets
         key = [k for k in raw if k in keys][-1]
         raise _bad(raw[key][1], key, raw[key][0], rule)
     return cfg
@@ -179,7 +181,7 @@ def _write_summary_csv(path, table: dict):
                 ([name, *(row[c] for c in SUMMARY_COLUMNS)] for name, row in table.items()))
 
 
-def _write_diagnostics(outdir, draws: PosteriorDraws, iterations: int, chains: int):
+def _write_diagnostics(outdir, draws: PosteriorDraws, iterations: int):
     write_table(os.path.join(outdir, "acceptance.csv"), ["block", "acceptance_rate"],
                 draws.acceptance.items())
     per_chain = max(iterations, 1)
@@ -239,11 +241,9 @@ def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
 
 
 def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedField:
-    if cfg.source_delta <= 0 or cfg.target_delta <= 0:
-        raise DataValidationError(
-            "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
-    src = EgpdParams(cfg.source_delta, cfg.source_xi, cfg.source_kappa)
-    tgt = EgpdParams(cfg.target_delta, cfg.target_xi, cfg.target_kappa)
+    # parse_config checked every law the config sets, run() that both are set
+    src, tgt = (EgpdParams(*(getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS))
+                for side in ("source", "target"))
     from .calibration import conditional_calibrate_flagged
 
     values, clamped = conditional_calibrate_flagged(panel.x, src, tgt)
@@ -254,6 +254,9 @@ def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedFi
 def run(cfg: RunConfig) -> int:
     """Execute the configured pipeline: ingest -> fit/calibrate -> export."""
     t_start = time.time()
+    if cfg.mode == "marginal-parametric" and min(cfg.source_delta, cfg.target_delta) <= 0:
+        raise DataValidationError(
+            "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)
     panel = load_panel(cfg.observed, cfg.simulated, net)
     bad_days = [day for day in cfg.figure_days if not 0 <= day < panel.n_times]
@@ -277,7 +280,9 @@ def run(cfg: RunConfig) -> int:
 
     _write_calibrated_csv(os.path.join(cfg.output_dir, "calibrated.csv"), net, panel, field_)
     manifest = {
-        "config": cfg.as_dict(),
+        # absolute input paths, so export-figures reads them from any directory
+        "config": dataclasses.asdict(dataclasses.replace(
+            cfg, **{key: os.path.abspath(getattr(cfg, key)) for key in _INPUT_KEYS})),
         "versions": {"windcal": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "seed": cfg.seed,
@@ -289,7 +294,7 @@ def run(cfg: RunConfig) -> int:
                              draws, cfg.full_dump)
         _write_summary_csv(os.path.join(cfg.output_dir, "summary.csv"),
                            summarize_posterior(draws))
-        _write_diagnostics(cfg.output_dir, draws, cfg.iterations, cfg.chains)
+        _write_diagnostics(cfg.output_dir, draws, cfg.iterations)
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
         manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
         for day in cfg.figure_days:

@@ -14,6 +14,7 @@ import csv
 import datetime as dt
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,25 +57,40 @@ class PanelData:
         return np.isnan(self.y).mean(axis=1)
 
 
+def _read_rows(path, columns: tuple):
+    """(line number, values of ``columns``) for each data row of a CSV file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(columns) <= set(header):
+            raise DataValidationError(f"{path} needs columns {sorted(columns)}")
+        index = [header.index(c) for c in columns]
+        pick = operator.itemgetter(*index)
+        width = max(index) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:  # a blank line; line_num still counts it
+                    continue
+                short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
+                raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
+            yield reader.line_num, pick(row)
+
+
 def load_network(path) -> StationNetwork:
     ids, coords, observed = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"station_id", "x_km", "y_km", "observed"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataValidationError(f"stations file needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            ids.append(row["station_id"])
-            try:
-                coords.append((float(row["x_km"]), float(row["y_km"])))
-                flag = int(row["observed"])
-            except ValueError as exc:
-                raise DataValidationError(f"stations file line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, coords[-1])):
-                raise DataValidationError(f"stations file line {lineno}: non-finite coordinate")
-            if flag not in (0, 1):
-                raise DataValidationError(f"stations file line {lineno}: observed must be 0 or 1")
-            observed.append(bool(flag))
+    for lineno, (sid, x_km, y_km, flag) in _read_rows(
+            path, ("station_id", "x_km", "y_km", "observed")):
+        ids.append(sid)
+        try:
+            coords.append((float(x_km), float(y_km)))
+            flag = int(flag)
+        except ValueError as exc:
+            raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, coords[-1])):
+            raise DataValidationError(f"{path} line {lineno}: non-finite coordinate")
+        if flag not in (0, 1):
+            raise DataValidationError(f"{path} line {lineno}: observed must be 0 or 1")
+        observed.append(bool(flag))
     if len(set(ids)) != len(ids):
         raise DataValidationError("duplicate station ids in stations file")
     return StationNetwork.from_coords(ids, np.array(coords), np.array(observed))
@@ -83,30 +99,23 @@ def load_network(path) -> StationNetwork:
 def _read_long_panel(path, valid_ids):
     """Read station_id,date,value rows; returns {(id, date): value} and date set."""
     cells, dates = {}, set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"station_id", "date", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataValidationError(f"panel file {path} needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = row["station_id"]
-            if sid not in valid_ids:
-                raise DataValidationError(
-                    f"{path} line {lineno}: station {sid!r} not in the network")
-            try:
-                dt.date.fromisoformat(row["date"])
-                val = float(row["value"])
-            except ValueError as exc:
-                raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
-            if not math.isfinite(val):
-                raise DataValidationError(f"{path} line {lineno}: non-finite value {val}")
-            if val < 0:
-                raise DataValidationError(f"{path} line {lineno}: negative value {val}")
-            key = (sid, row["date"])
-            if key in cells:
-                raise DataValidationError(f"{path} line {lineno}: duplicate row for {key}")
-            cells[key] = val
-            dates.add(row["date"])
+    for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", "value")):
+        if sid not in valid_ids:
+            raise DataValidationError(f"{path} line {lineno}: station {sid!r} not in the network")
+        try:
+            dt.date.fromisoformat(date)
+            val = float(value)
+        except ValueError as exc:
+            raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
+        if not math.isfinite(val):
+            raise DataValidationError(f"{path} line {lineno}: non-finite value {val}")
+        if val < 0:
+            raise DataValidationError(f"{path} line {lineno}: negative value {val}")
+        key = (sid, date)
+        if key in cells:
+            raise DataValidationError(f"{path} line {lineno}: duplicate row for {key}")
+        cells[key] = val
+        dates.add(date)
     return cells, dates
 
 

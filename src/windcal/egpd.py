@@ -44,6 +44,14 @@ class GpdParams:
         return math.inf
 
 
+def egpd_faults(delta, xi, kappa) -> list:
+    """The rules an endpoint-form law breaks, each as (the fields it names, the rule)."""
+    rules = [(("delta",), "must be finite and > 0", 0.0 < delta < math.inf),
+             (("xi",), "must be finite and < 0 (endpoint form)", -math.inf < xi < 0.0),
+             (("kappa",), "must be finite and > 0", 0.0 < kappa < math.inf)]
+    return [(fields, rule) for fields, rule, ok in rules if not ok]
+
+
 @dataclass(frozen=True)
 class EgpdParams:
     """Endpoint-form EGPD: endpoint delta > 0, shape xi < 0, lower-tail kappa > 0."""
@@ -53,14 +61,10 @@ class EgpdParams:
     kappa: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and np.isfinite(self.xi) and np.isfinite(self.kappa)):
-            raise DomainError("EGPD parameters must be finite")
-        if self.delta <= 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.kappa <= 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if self.xi >= 0:
-            raise DomainError(f"endpoint form requires xi < 0, got {self.xi}")
+        faults = egpd_faults(self.delta, self.xi, self.kappa)
+        if faults:
+            (name,), rule = faults[0]
+            raise DomainError(f"{name} {rule}, got {getattr(self, name)}")
 
     @property
     def sigma(self) -> float:

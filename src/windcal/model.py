@@ -311,27 +311,27 @@ class HierarchicalModel:
         if not self._in_box(state):
             return -np.inf
         factor = self.chol_factor(state.alpha)
-        grids = [self.delta_prior_grid(rates(getattr(state, mg.beta), state.w[mg.rows], state.z),
-                                       getattr(state, mg.delta), mg.shift)
-                 for mg in self.margins]
+        endpoint = 0.0
+        for mg in self.margins:
+            lam = rates(getattr(state, mg.beta), state.w[mg.rows], state.z)
+            endpoint += self.delta_prior_grid(lam, getattr(state, mg.delta), mg.shift).sum()
         return self.prior_terms(state, factor.logdet, factor.quad_form(state.w),
-                                rw1_quad_form(state.z), grids)
+                                rw1_quad_form(state.z), float(endpoint))
 
-    def prior_terms(self, state: ModelState, logdet_w, quad_w, quad_z, endpoint_grids) -> float:
+    def prior_terms(self, state: ModelState, logdet_w, quad_w, quad_z, endpoint) -> float:
         """Log-prior of an in-box state given its latent-field pieces.
 
         ``logdet_w`` and ``quad_w`` are log det(R) and w' R^-1 w for the
         spatial correlation R; ``quad_z`` is the RW1 quadratic form and
-        ``endpoint_grids`` the per-margin endpoint-prior grids.  log_prior
-        computes them from scratch, the sampler passes its cached ones.
+        ``endpoint`` the summed endpoint-prior log-density of both margins.
+        log_prior computes them from scratch, the sampler from its caches.
         """
         out = 0.0
         for name, law in self.laws.items():
             out += law.logpdf(getattr(state, name))
         out += spatial_logdensity_from_quad(state.w.size, state.tau_w, logdet_w, quad_w)
         out += rw1_logdensity_from_quad(state.z.size, state.tau_z, quad_z)
-        out += float(sum(grid.sum() for grid in endpoint_grids))
-        return out
+        return out + endpoint
 
     def log_posterior(self, state: ModelState) -> float:
         lp = self.log_prior(state)
@@ -384,11 +384,11 @@ class MwgSampler:
     alpha, taus, each spatial site, each day (with recentring), then both
     endpoint panels in one vectorized block each.
 
-    beta, w and z enter the posterior only through the rates
-    lambda = exp(beta + w_i + z_j), and the endpoint gaps G = delta - shift
-    stay fixed while they move, so their blocks read the endpoint prior
-    through sums of lambda * G (per margin, per station, per day) instead
-    of grids.
+    The endpoint prior log(lambda) - lambda * G, lambda = exp(beta + w_i + z_j)
+    and G = delta - shift, is read only through _rate_factors: beta, w and z
+    leave G fixed, so their blocks use sums of lambda * G (per margin, station,
+    day); the delta blocks leave lambda fixed, so their prior ratio is
+    -lambda * (G' - G); log_posterior sums log(lambda) in closed form.
     """
 
     def __init__(self, model: HierarchicalModel, state: ModelState, rng):
@@ -406,34 +406,34 @@ class MwgSampler:
         self.proposal_counts = {k: 0.0 for k in self.log_scales}
         self.refresh_cache()
 
-    # cached pieces of the log-posterior; the endpoint-prior grids are
-    # rebuilt by the delta blocks, so they are current at the end of a sweep
-    # but not between the beta/w/z blocks and the delta blocks
+    # cached pieces of the log-posterior, each current after every block
     def refresh_cache(self):
         m, s = self.model, self.state
+        if not np.isfinite(m.log_posterior(s)):
+            raise NumericalError("non-finite log-posterior at sampler start")
         self.factor = m.chol_factor(s.alpha)
         self.quad_w = self.factor.quad_form(s.w)
         self.quad_z = rw1_quad_form(s.z)
-        self.prior, self.ll = {}, {}
-        for mg in m.margins:
-            k = mg.name
-            lam = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
-            self.prior[k] = m.delta_prior_grid(lam, getattr(s, mg.delta), mg.shift)
-            self.ll[k] = mg.loglik(*mg.params(s))
-            if not (np.isfinite(self.prior[k].sum()) and np.isfinite(self.ll[k].sum())):
-                raise NumericalError("non-finite log-posterior component at sampler start")
+        self.ll = {mg.name: mg.loglik(*mg.params(s)) for mg in m.margins}
 
     def log_posterior(self) -> float:
-        margins = self.model.margins
-        out = self.model.prior_terms(self.state, self.factor.logdet, self.quad_w, self.quad_z,
-                                     [self.prior[mg.name] for mg in margins])
-        return out + float(sum(self.ll[mg.name].sum() for mg in margins))
+        s = self.state
+        endpoint = 0.0
+        for mg in self.model.margins:
+            # sum of log(lambda) - lambda * G over the margin's n x T cells
+            e_beta, e_w, e_z, gap = self._rate_factors(mg)
+            n, t = gap.shape
+            endpoint += n * t * getattr(s, mg.beta) + t * s.w[mg.rows].sum() + n * s.z.sum() \
+                - e_beta * (e_w @ gap @ e_z)
+        out = self.model.prior_terms(s, self.factor.logdet, self.quad_w, self.quad_z,
+                                     float(endpoint))
+        return out + float(sum(self.ll[mg.name].sum() for mg in self.model.margins))
 
     def _rate_factors(self, mg: Margin):
         """exp(beta), exp(w[rows]), exp(z) and G = delta - shift of a margin.
 
-        lambda * G is exp(beta) * outer(exp(w[rows]), exp(z)) * G; the blocks
-        reduce it by matrix-vector products rather than forming the grid.
+        lambda * G is exp(beta) * outer(exp(w[rows]), exp(z)) * G; only the
+        delta block forms lambda, the rest reduce by matrix-vector products.
         """
         s = self.state
         with np.errstate(over="ignore"):
@@ -609,26 +609,24 @@ class MwgSampler:
     # -- endpoint panels -------------------------------------------------------------
 
     def _update_delta(self, mg: Margin):
-        m, s = self.model, self.state
-        k = mg.name
+        # a random walk on log(G) per cell; v_new - v is its log-Jacobian
+        s = self.state
         delta, xi, kappa = mg.params(s)
-        lam = rates(getattr(s, mg.beta), s.w[mg.rows], s.z)
-        prior = m.delta_prior_grid(lam, delta, mg.shift)
-        ll = self.ll[k]
-        v = np.log(delta - mg.shift)
+        e_beta, e_w, e_z, gap = self._rate_factors(mg)
+        ll = self.ll[mg.name]
+        v = np.log(gap)
         v_new = v + math.exp(self.log_scales[mg.delta]) * self.rng.standard_normal(v.shape)
-        gap_new = np.exp(v_new)
-        ok = gap_new > 0  # reject proposals that underflow the shift gap
-        delta_new = mg.shift + gap_new
+        delta_new = mg.shift + np.exp(v_new)
+        gap_new = delta_new - mg.shift
+        ok = gap_new > 0  # reject proposals whose gap underflows or rounds away
         ll_new = mg.loglik(delta_new, xi, kappa)
-        prior_new = m.delta_prior_grid(lam, delta_new, mg.shift)
-        with np.errstate(invalid="ignore"):
-            log_ratio = (ll_new - ll) + (prior_new - prior) + (v_new - v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            log_ratio = (ll_new - ll) - e_beta * np.outer(e_w, e_z) * (gap_new - gap) \
+                + (v_new - v)
         log_u = np.log(self.rng.uniform(size=v.shape))
         acc = ok & np.isfinite(log_ratio) & (log_u < log_ratio)
         setattr(s, mg.delta, np.where(acc, delta_new, delta))
-        self.ll[k] = np.where(acc, ll_new, ll)
-        self.prior[k] = np.where(acc, prior_new, prior)
+        self.ll[mg.name] = np.where(acc, ll_new, ll)
         self._adapt(mg.delta, acc)
 
     # -- one sweep --------------------------------------------------------------------

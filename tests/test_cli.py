@@ -121,6 +121,17 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{panel}.csv line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["observed", "stations"])
+    def test_short_row_rejected_with_line(self, tmp_path, dataset, capsys, name):
+        # line 3 loses its last field: the value, or the observed flag
+        path = dataset / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{path} line 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, literal", [
         ("iterations", "abc"), ("prior_tau_rate", "x"), ("prior_tau_rate", "-1"),
         ("prior_tau_rate", "nan"), ("prior_beta_precision", "0"), ("prior_kappa_shape", "0"),
@@ -156,17 +167,31 @@ class TestMarginalModes:
         assert (out / "manifest.json").exists()
         assert not (out / "posterior.csv").exists()
 
-    def test_marginal_parametric_requires_laws(self, tmp_path, dataset):
+    LAWS = {"source_delta": 60.0, "source_xi": -0.08, "source_kappa": 18.0,
+            "target_delta": 55.0, "target_xi": -0.07, "target_kappa": 5.0}
+
+    def test_marginal_parametric_requires_laws(self, tmp_path, dataset, capsys):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric")
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert "marginal-parametric mode needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, literal", [
+        ("source_xi", "0.3"), ("source_kappa", "-1"), ("target_delta", "0"),
+        ("target_xi", "nan"), ("target_kappa", "inf")])
+    def test_bad_law_rejected_with_line(self, tmp_path, dataset, capsys, key, literal):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-parametric", **{**self.LAWS, key: literal})
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        line = p.read_text().splitlines().index(f"{key} = {literal}") + 1
+        assert f"run.cfg line {line}: {key} = {literal!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_marginal_parametric(self, tmp_path, dataset):
         out = tmp_path / "out"
         p = write_config(tmp_path / "run.cfg", dataset, out,
-                         mode="marginal-parametric",
-                         source_delta=60.0, source_xi=-0.08, source_kappa=18.0,
-                         target_delta=55.0, target_xi=-0.07, target_kappa=5.0)
+                         mode="marginal-parametric", **self.LAWS)
         assert main(["calibrate", "--config", str(p)]) == EXIT_OK
         rows = read_rows(out / "calibrated.csv")
         vals = [float(r["x_calibrated"]) for r in rows]
@@ -255,6 +280,18 @@ class TestHierarchicalPipeline:
         assert main(["export-figures", "--run-dir", str(run_dir), "--day", "2"]) == EXIT_OK
         assert (run_dir / "day002_kde.csv").exists()
         assert (run_dir / "day002_stations.csv").exists()
+
+    def test_export_figures_from_another_directory(self, tmp_path, dataset, monkeypatch):
+        # the fit reads its inputs through paths relative to where it ran
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "run.cfg", os.path.relpath(dataset), "fitrun",
+                     iterations=10, burn_in=2, thinning=1, chains=1)
+        assert main(["fit", "--config", "run.cfg"]) == EXIT_OK
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["export-figures", "--run-dir", str(tmp_path / "fitrun"),
+                     "--day", "1"]) == EXIT_OK
+        assert (tmp_path / "fitrun" / "day001_kde.csv").exists()
 
     def test_export_figures_needs_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

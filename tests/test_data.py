@@ -107,6 +107,12 @@ class TestLoadValidation:
         with pytest.raises(DataValidationError, match="line 3"):
             load_network(p)
 
+    def test_line_after_blank_line(self, tmp_path):
+        p = self._write(tmp_path / "s.csv",
+                        "station_id,x_km,y_km,observed\na,0,0,1\n\nb,nan,1,1\n")
+        with pytest.raises(DataValidationError, match="line 4"):
+            load_network(p)
+
     def test_duplicate_station(self, tmp_path):
         p = self._write(tmp_path / "s.csv",
                         "station_id,x_km,y_km,observed\na,0,0,1\na,1,1,1\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from windcal.data import SyntheticTruth, generate_synthetic
-from windcal.errors import DataValidationError, DomainError
+from windcal.errors import DataValidationError, DomainError, NumericalError
 from windcal.latent import StationNetwork
 from windcal.model import (
     HierarchicalModel,
@@ -173,11 +173,25 @@ class TestTransforms:
 
 class TestSampler:
     def test_cache_matches_full_recompute(self):
-        # a complete panel and one with missing cells, during burn-in and after
+        # a complete panel and one with missing cells, during burn-in and
+        # after; the cache must match after every update block, not only at
+        # the end of a sweep
         for missing_rate, n_times in ((0.0, 4), (0.2, 12)):
             m = toy_model(seed=1, n_times=n_times, missing_rate=missing_rate)
             assert np.isnan(m.y).any() == (missing_rate > 0)
             sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
+            checked = []
+
+            def checking(name, block):
+                def run(*args):
+                    block(*args)
+                    assert sampler.log_posterior() == pytest.approx(
+                        m.log_posterior(sampler.state), abs=1e-8), name
+                    checked.append(name)
+                return run
+
+            for name in [a for a in vars(MwgSampler) if a.startswith("_update_")]:
+                setattr(sampler, name, checking(name, getattr(sampler, name)))
             for adapting in (True, False):
                 sampler.adapting = adapting
                 for _ in range(25):
@@ -188,6 +202,15 @@ class TestSampler:
                 cached = sampler.log_posterior()
                 sampler.refresh_cache()
                 assert sampler.log_posterior() == pytest.approx(cached, abs=1e-10)
+            # per sweep: beta, kappa, xi and delta of each margin, alpha, two taus, w, z
+            assert len(checked) == 50 * 13
+
+    def test_start_state_outside_endpoint_support_rejected(self):
+        m = toy_model(seed=1)
+        state = m.initialize_state()
+        state.delta_y[0, 0] = m.shift_y
+        with pytest.raises(NumericalError):
+            MwgSampler(m, state, np.random.default_rng(0))
 
     def test_block_log_ratios_match_log_posterior(self):
         # accept every proposal, so consecutive states are (current, proposed)
