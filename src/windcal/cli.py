@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,30 +170,37 @@ def _write_posterior_csv(path, draws: PosteriorDraws, full_dump: bool):
         header += [f"w_{i}" for i in range(draws.w.shape[1])]
         header += [f"z_{j}" for j in range(draws.z.shape[1])]
         latent = np.hstack([draws.w, draws.z])
+    means = [np.array([delta.mean() for delta in panel])
+             for panel in (draws.delta_y, draws.delta_x)]
     write_table(path, header,
-                ([d, draws.chain[d], *(draws.scalars[name][d] for name in SCALAR_NAMES),
-                  draws.delta_y[d].mean(), draws.delta_x[d].mean(), *latent[d]]
-                 for d in range(draws.n_draws)))
+                [[np.arange(draws.n_draws), draws.chain,
+                  *(draws.scalars[name] for name in SCALAR_NAMES), *means, *latent.T]])
 
 
 def _write_summary_csv(path, table: dict):
     from .predictive import SUMMARY_COLUMNS
 
     write_table(path, ["parameter", *SUMMARY_COLUMNS],
-                ([name, *(row[c] for c in SUMMARY_COLUMNS)] for name, row in table.items()))
+                [[list(table), *(np.array([row[c] for row in table.values()])
+                                 for c in SUMMARY_COLUMNS)]])
 
 
 def _write_diagnostics(outdir, draws: PosteriorDraws, iterations: int):
     write_table(os.path.join(outdir, "acceptance.csv"), ["block", "acceptance_rate"],
-                draws.acceptance.items())
-    per_chain = max(iterations, 1)
+                [[list(draws.acceptance), np.array(list(draws.acceptance.values()))]])
+    chain, iteration = np.divmod(np.arange(len(draws.log_posterior)), max(iterations, 1))
     write_table(os.path.join(outdir, "logposterior.csv"), ["chain", "iteration", "log_posterior"],
-                ([idx // per_chain, idx % per_chain, lp]
-                 for idx, lp in enumerate(draws.log_posterior)))
+                [[chain, iteration, draws.log_posterior]])
+
+
+# the arrays of a draws.npz archive
+_DRAWS_KEYS = ("w", "z", "delta_y", "delta_x", "chain", "log_posterior", "shift_y", "shift_x",
+              "acceptance_keys", "acceptance_vals", *(f"scalar_{k}" for k in SCALAR_NAMES))
 
 
 def _save_draws_npz(path, draws: PosteriorDraws):
-    np.savez_compressed(
+    # uncompressed: deflating the draws took longer than the fit at 200x365
+    np.savez(
         path,
         w=draws.w, z=draws.z, delta_y=draws.delta_y, delta_x=draws.delta_x,
         chain=draws.chain, log_posterior=draws.log_posterior,
@@ -203,16 +212,28 @@ def _save_draws_npz(path, draws: PosteriorDraws):
 
 
 def load_draws_npz(path) -> PosteriorDraws:
-    with np.load(path, allow_pickle=False) as data:
-        scalars = {k[len("scalar_"):]: data[k] for k in data.files if k.startswith("scalar_")}
-        return PosteriorDraws(
-            scalars=scalars, w=data["w"], z=data["z"],
-            delta_y=data["delta_y"], delta_x=data["delta_x"],
-            chain=data["chain"], log_posterior=data["log_posterior"],
-            acceptance=dict(zip(data["acceptance_keys"].tolist(),
-                                data["acceptance_vals"].tolist())),
-            shift_y=float(data["shift_y"]), shift_x=float(data["shift_x"]),
-        )
+    """Read a draws.npz archive, compressed (as written before) or not."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataValidationError(f"{path}: an .npy array, not a draws.npz archive")
+        with data:
+            missing = [k for k in _DRAWS_KEYS if k not in data.files]
+            if missing:
+                raise DataValidationError(f"{path}: no {missing[0]!r} array in the archive")
+            arrays = {k: data[k] for k in data.files}
+    # a text or pickle file, an empty file, a truncated or corrupt archive
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataValidationError(f"{path}: not a readable draws.npz archive") from exc
+    return PosteriorDraws(
+        scalars={k.removeprefix("scalar_"): v for k, v in arrays.items()
+                 if k.startswith("scalar_")},
+        w=arrays["w"], z=arrays["z"], delta_y=arrays["delta_y"], delta_x=arrays["delta_x"],
+        chain=arrays["chain"], log_posterior=arrays["log_posterior"],
+        acceptance=dict(zip(arrays["acceptance_keys"].tolist(),
+                            arrays["acceptance_vals"].tolist())),
+        shift_y=float(arrays["shift_y"]), shift_x=float(arrays["shift_x"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +338,18 @@ def _export_day(outdir, net, panel, draws, field_, day, svg=False):
     prefix = os.path.join(outdir, f"day{day:03d}")
     write_table(prefix + "_kde.csv",
                 ["value", "dens_observed", "dens_simulated", "dens_calibrated"],
-                zip(bundle.kde_grid, bundle.kde_observed, bundle.kde_simulated,
-                    bundle.kde_calibrated))
+                [[bundle.kde_grid, bundle.kde_observed, bundle.kde_simulated,
+                  bundle.kde_calibrated]])
+    # a station with no observation that day gets an empty observed field
+    observed = np.ma.masked_array(bundle.observed, np.isnan(bundle.observed))
     write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
-                ([sid, "" if np.isnan(obs) else obs, sim, cal] for sid, obs, sim, cal in
-                 zip(bundle.station_ids, bundle.observed, bundle.simulated, bundle.calibrated)))
+                [[bundle.station_ids, observed, bundle.simulated, bundle.calibrated]])
+    n_days = bundle.sigma_y_box.shape[0]
+    # one y row, then one x row, per day
+    boxes = np.stack([bundle.sigma_y_box, bundle.sigma_x_box], axis=1).reshape(2 * n_days, -1)
     write_table(os.path.join(outdir, "sigma_boxplot.csv"),
                 ["day", "panel", "min", "q1", "median", "q3", "max"],
-                ([j, name, *box[j]] for j in range(bundle.sigma_y_box.shape[0])
-                 for name, box in (("y", bundle.sigma_y_box), ("x", bundle.sigma_x_box))))
+                [[np.repeat(np.arange(n_days), 2), ["y", "x"] * n_days, *boxes.T]])
     if svg:
         _render_svg(prefix, bundle)
 

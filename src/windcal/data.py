@@ -125,6 +125,8 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     obs_ids = {net.ids[i] for i in net.observed_indices}
     y_cells, _ = _read_long_panel(observed_path, obs_ids)
     x_cells, x_dates = _read_long_panel(simulated_path, all_ids)
+    if not x_cells:
+        raise DataValidationError(f"{simulated_path}: no data rows")
     dates = tuple(sorted(x_dates))
     n_times = len(dates)
     x = np.full((net.n_total, n_times), np.nan)
@@ -146,40 +148,68 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     return PanelData(y=y, x=x, dates=dates)
 
 
-# cells csv writes as wanted without conversion; floats are written as their repr
-_PLAIN = frozenset((float, int, str))
+class _Echo:
+    """A file whose write returns the text, so a csv writer's writerow returns its row."""
+
+    @staticmethod
+    def write(text):
+        return text
 
 
-def _cell(value):
-    """A numpy value as a Python one, and a bool as 0/1."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    return int(value) if isinstance(value, bool) else value
+_csv_row = csv.writer(_Echo()).writerow
 
 
-def write_table(path, header, rows):
-    """Write a CSV table with one header row; the one writer of windcal's CSV files."""
+def _column_text(col, quoted: dict) -> list:
+    """The CSV text of each cell of one column; ``quoted`` caches string cells."""
+    if np.ma.isMaskedArray(col):  # a masked cell is an empty field
+        holes = np.ma.getmaskarray(col).tolist()
+        return ["" if hole else text
+                for text, hole in zip(_column_text(col.data, quoted), holes)]
+    if isinstance(col, np.ndarray) and col.dtype.kind in "bfiu":
+        if col.dtype.kind == "b":
+            return ["1" if v else "0" for v in col.tolist()]
+        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    values = col.tolist() if isinstance(col, np.ndarray) else list(col)
+    # csv's own QUOTE_MINIMAL text of (value, ""), less the trailing ",\r\n"
+    quoted.update((v, _csv_row((v, ""))[:-3]) for v in set(values).difference(quoted))
+    return list(map(quoted.__getitem__, values))
+
+
+def write_table(path, header, blocks):
+    """Write a CSV table with one header row; the one writer of windcal's CSV files.
+
+    Each block is a list of equal-length columns, and its rows follow the
+    previous block's.  A column is turned into text in one pass: a float
+    array as each value's repr(), a bool array as 0/1, an int array by
+    str(), and any other sequence as csv's text of each distinct value.
+    Rows end in \\r\\n, as csv.writer's do.
+    """
+    quoted = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # the type test runs once per cell and spares the call for plain cells
-        writer.writerows([v if type(v) in _PLAIN else _cell(v) for v in row] for row in rows)
+        for columns in itertools.chain([[[name] for name in header]], blocks):
+            text = [_column_text(col, quoted) for col in columns]
+            if len(text) == 1:  # csv quotes a lone empty field, or the row would read as blank
+                text = [['""' if cell == "" else cell for cell in text[0]]]
+            rows = "\r\n".join(map(",".join, zip(*text)))
+            if rows:
+                fh.write(rows + "\r\n")
 
 
 def write_long_csv(path, ids, dates, columns: dict):
     """Write station-major station_id,date,<columns> rows from (station, date) arrays.
 
-    A cell whose first column is NaN is left out.  Rows are built one
-    station at a time.
+    A cell whose first column is NaN is left out.  Each station's rows are
+    one block.
     """
-    def rows():
+    dates = np.asarray(dates)
+
+    def blocks():
         for i, sid in enumerate(ids):
             station = [col[i] for col in columns.values()]
-            yield from itertools.compress(
-                zip(itertools.repeat(sid), dates, *(col.tolist() for col in station)),
-                (~np.isnan(station[0])).tolist())
+            keep = ~np.isnan(station[0])
+            yield [[sid] * int(keep.sum()), dates[keep], *(c[keep] for c in station)]
 
-    write_table(path, ["station_id", "date", *columns], rows())
+    write_table(path, ["station_id", "date", *columns], blocks())
 
 
 def write_panel_csv(path, values, ids, dates):
@@ -189,7 +219,7 @@ def write_panel_csv(path, values, ids, dates):
 
 def write_network_csv(path, net: StationNetwork):
     write_table(path, ["station_id", "x_km", "y_km", "observed"],
-                zip(net.ids, net.coords[:, 0], net.coords[:, 1], net.observed))
+                [[net.ids, net.coords[:, 0], net.coords[:, 1], net.observed]])
 
 
 @dataclass

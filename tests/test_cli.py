@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from windcal import cli
 from windcal.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -170,6 +172,14 @@ class TestMarginalModes:
     LAWS = {"source_delta": 60.0, "source_xi": -0.08, "source_kappa": 18.0,
             "target_delta": 55.0, "target_xi": -0.07, "target_kappa": 5.0}
 
+    def test_header_only_panels_rejected(self, tmp_path, dataset, capsys):
+        for panel in ("observed", "simulated"):
+            (dataset / f"{panel}.csv").write_text("station_id,date,value\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-empirical")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{dataset}/simulated.csv: no data rows" in capsys.readouterr().err
+
     def test_marginal_parametric_requires_laws(self, tmp_path, dataset, capsys):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric")
@@ -237,10 +247,69 @@ class TestHierarchicalPipeline:
         assert "windcal" in manifest["versions"]
         assert "acceptance" in manifest and "wall_time_s" in manifest
 
-    def test_draws_npz_roundtrip(self, run_dir):
-        draws = load_draws_npz(run_dir / "draws.npz")
-        assert draws.n_draws == 20
-        assert draws.w.ndim == 2 and draws.delta_x.ndim == 3
+    @pytest.fixture()
+    def saved_draws(self, tmp_path, dataset, monkeypatch):
+        """A fit's output dir and the in-memory draws it saved to draws.npz."""
+        saved = []
+        save = cli._save_draws_npz
+
+        def save_and_keep(path, draws):
+            saved.append(draws)
+            save(path, draws)
+
+        monkeypatch.setattr(cli, "_save_draws_npz", save_and_keep)
+        out = tmp_path / "saved"
+        p = write_config(tmp_path / "saved.cfg", dataset, out, iterations=30, burn_in=10,
+                         thinning=2, chains=2, seed=3)
+        assert main(["fit", "--config", str(p)]) == EXIT_OK
+        return out, saved[0]
+
+    def test_draws_npz_roundtrip(self, saved_draws):
+        out, draws = saved_draws
+        back = load_draws_npz(out / "draws.npz")
+        assert back.n_draws == 20
+        # every array, scalar, acceptance rate and shift, NaN equal to NaN
+        np.testing.assert_equal(dataclasses.asdict(back), dataclasses.asdict(draws))
+        assert list(back.scalars) == list(draws.scalars)
+        assert list(back.acceptance) == list(draws.acceptance)
+
+    def test_compressed_draws_npz_still_loads(self, saved_draws, tmp_path, monkeypatch):
+        # the archive earlier versions wrote: the same arrays, deflated
+        out, draws = saved_draws
+        with monkeypatch.context() as m:
+            m.setattr(np, "savez", np.savez_compressed)
+            cli._save_draws_npz(tmp_path / "compressed.npz", draws)
+        assert (tmp_path / "compressed.npz").stat().st_size < (out / "draws.npz").stat().st_size
+        back = load_draws_npz(tmp_path / "compressed.npz")
+        np.testing.assert_equal(dataclasses.asdict(back), dataclasses.asdict(draws))
+        tables = []
+        for archive in (tmp_path / "compressed.npz", out / "draws.npz"):
+            table = tmp_path / f"{archive.stem}.csv"
+            assert main(["summarize", "--draws", str(archive), "--out", str(table)]) == EXIT_OK
+            tables.append(table.read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("case", ["csv", "no_z", "truncated"])
+    def test_bad_draws_file_exits_2(self, saved_draws, tmp_path, dataset, capsys, case):
+        out, _ = saved_draws
+        bad = tmp_path / "bad.npz"
+        if case == "csv":
+            bad = dataset / "stations.csv"
+        elif case == "no_z":
+            with np.load(out / "draws.npz") as data:
+                np.savez(bad, **{k: data[k] for k in data.files if k != "z"})
+        else:
+            raw = (out / "draws.npz").read_bytes()
+            bad.write_bytes(raw[:len(raw) // 2])
+        assert main(["summarize", "--draws", str(bad), "--out", str(tmp_path / "t.csv")]) \
+            == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert ("'z'" in err) == (case == "no_z")
+        # export-figures reads the run's draws.npz the same way
+        (out / "draws.npz").write_bytes(bad.read_bytes())
+        assert main(["export-figures", "--run-dir", str(out), "--day", "1"]) == EXIT_DATA
+        assert "draws.npz" in capsys.readouterr().err
 
     def test_full_dump_writes_the_values_behind_it(self, tmp_path, dataset):
         out = tmp_path / "full"

@@ -1,7 +1,15 @@
 """Unit tests for CSV ingestion, validation, and forward simulation."""
 
+import csv
+import itertools
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windcal.data import (
     PanelData,
@@ -11,6 +19,7 @@ from windcal.data import (
     load_network,
     load_panel,
     write_network_csv,
+    write_long_csv,
     write_panel_csv,
     write_table,
 )
@@ -78,11 +87,106 @@ class TestCsvRoundtrip:
         flags = np.array([True, False])
         path = tmp_path / "table.csv"
         write_table(path, ["a", "b", "c", "d", "e"],
-                    [[np.float64(0.1) + 0.2, 1 / 3, flags[0], 7, ""],
-                     [np.float64(1e-300), -2.5, flags[1], -1, ""]])
+                    [[np.array([0.1 + 0.2, 1e-300]), np.array([1 / 3, -2.5]), flags,
+                      np.array([7, -1]), ["", ""]]])
         assert path.read_bytes() == (b"a,b,c,d,e\r\n"
                                      b"0.30000000000000004,0.3333333333333333,1,7,\r\n"
                                      b"1e-300,-2.5,0,-1,\r\n")
+
+
+# cells csv quotes or that a float's repr spells in an unusual way
+EDGE_IDS = ["a,b", 'say "hi"', "cr\r", "lf\n", " lead", ""]
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
+TEXT = st.one_of(st.sampled_from(EDGE_IDS),
+                 st.text(alphabet=st.sampled_from('ab1 ,"\r\n\t.-'), max_size=4))
+
+
+def _masked(values):
+    return np.ma.masked_array([math.nan if v is None else v for v in values],
+                              [v is None for v in values])
+
+
+# cell strategy, and the column write_table takes for a list of such cells
+KINDS = {
+    "str": (TEXT, list),
+    "float": (st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), np.array),
+    "int": (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
+    "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "masked": (st.one_of(st.none(), st.floats()), _masked),
+}
+
+
+def csv_writer_bytes(path, header, rows):
+    """What csv.writer writes for the rows, with floats as repr() and bools as 0/1."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+    return Path(path).read_bytes()
+
+
+@st.composite
+def tables(draw):
+    """(header, cells by column, column kinds, block boundaries) of a random table."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 6))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    cells = [draw(st.lists(KINDS[k][0], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    cuts = draw(st.lists(st.integers(0, n_rows), max_size=3))
+    return header, cells, kinds, [0, *sorted(cuts), n_rows]
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_same_bytes_as_csv_writer(self, table):
+        header, cells, kinds, bounds = table
+        blocks = [[KINDS[k][1](col[a:b]) for k, col in zip(kinds, cells)]
+                  for a, b in itertools.pairwise(bounds)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_table(path, header, blocks)
+            assert path.read_bytes() == csv_writer_bytes(Path(tmp) / "oracle.csv",
+                                                         header, zip(*cells))
+
+    def test_edge_cells(self, tmp_path):
+        n = len(EDGE_FLOATS)
+        ids = (EDGE_IDS * 2)[:n]
+        ints = [0, -1, 2**63 - 1, -2**63, 7, 10**6, 3]
+        flags = [True, False] * 3 + [True]
+        path = tmp_path / "table.csv"
+        write_table(path, EDGE_IDS[:4], [[ids, np.array(EDGE_FLOATS), np.array(ints),
+                                          np.array(flags)]])
+        expected = csv_writer_bytes(tmp_path / "oracle.csv", EDGE_IDS[:4],
+                                    zip(ids, EDGE_FLOATS, ints, flags))
+        assert path.read_bytes() == expected
+        assert b'"a,b",-0.0,0,1\r\n"say ""hi""",5e-324,' in expected
+
+    def test_lone_empty_field_is_quoted(self, tmp_path):
+        # a blank line would read back as no row at all
+        path = tmp_path / "table.csv"
+        write_table(path, [""], [[["", "x"]]])
+        assert path.read_bytes() == b'""\r\n""\r\nx\r\n'
+
+    def test_long_csv_leaves_out_nan_cells_of_the_first_column(self, tmp_path):
+        value = np.array([[1.5, np.nan], [0.25, 2.0]])
+        sd = np.array([[np.nan, 0.2], [np.nan, 0.5]])  # NaN elsewhere is written
+        flags = np.array([[True, False], [False, True]])
+        path = tmp_path / "long.csv"
+        write_long_csv(path, ["a", "b"], ("2013-01-01", "2013-01-02"),
+                       {"value": value, "sd": sd, "flag": flags})
+        assert path.read_bytes() == (b"station_id,date,value,sd,flag\r\n"
+                                     b"a,2013-01-01,1.5,nan,1\r\n"
+                                     b"b,2013-01-01,0.25,nan,0\r\n"
+                                     b"b,2013-01-02,2.0,0.5,1\r\n")
+
+    def test_long_csv_station_with_every_cell_missing(self, tmp_path):
+        value = np.array([[np.nan, np.nan], [3.0, np.nan], [np.nan, np.nan]])
+        path = tmp_path / "long.csv"
+        write_long_csv(path, ["a", "b", "c"], ("2013-01-01", "2013-01-02"), {"value": value})
+        assert path.read_bytes() == b"station_id,date,value\r\nb,2013-01-01,3.0\r\n"
+        write_long_csv(path, ["a"], ("2013-01-01", "2013-01-02"), {"value": value[:1]})
+        assert path.read_bytes() == b"station_id,date,value\r\n"
 
 
 class TestLoadValidation:
