@@ -17,8 +17,6 @@ import json
 import os
 import sys
 import time
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +34,10 @@ from .data import (
     write_panel_csv,
     write_table,
 )
-from .draws import SCALAR_NAMES, PosteriorDraws
+from .draws import SCALAR_NAMES, PosteriorDraws, load_draws_npz, save_draws_npz
 from .egpd import EgpdParams, egpd_faults
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
-from .latent import CORRELATION_FAMILIES
+from .latent import CORRELATION_FAMILIES, StationNetwork
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
 from .predictive import CalibratedField, calibrate_field, export_figures, summarize_posterior
 
@@ -193,47 +191,8 @@ def _write_diagnostics(outdir, draws: PosteriorDraws, iterations: int):
                 [[chain, iteration, draws.log_posterior]])
 
 
-# the arrays of a draws.npz archive
-_DRAWS_KEYS = ("w", "z", "delta_y", "delta_x", "chain", "log_posterior", "shift_y", "shift_x",
-              "acceptance_keys", "acceptance_vals", *(f"scalar_{k}" for k in SCALAR_NAMES))
-
-
 def _save_draws_npz(path, draws: PosteriorDraws):
-    # uncompressed: deflating the draws took longer than the fit at 200x365
-    np.savez(
-        path,
-        w=draws.w, z=draws.z, delta_y=draws.delta_y, delta_x=draws.delta_x,
-        chain=draws.chain, log_posterior=draws.log_posterior,
-        shift_y=draws.shift_y, shift_x=draws.shift_x,
-        acceptance_keys=np.array(list(draws.acceptance.keys())),
-        acceptance_vals=np.array(list(draws.acceptance.values())),
-        **{f"scalar_{k}": v for k, v in draws.scalars.items()},
-    )
-
-
-def load_draws_npz(path) -> PosteriorDraws:
-    """Read a draws.npz archive, compressed (as written before) or not."""
-    try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise DataValidationError(f"{path}: an .npy array, not a draws.npz archive")
-        with data:
-            missing = [k for k in _DRAWS_KEYS if k not in data.files]
-            if missing:
-                raise DataValidationError(f"{path}: no {missing[0]!r} array in the archive")
-            arrays = {k: data[k] for k in data.files}
-    # a text or pickle file, an empty file, a truncated or corrupt archive
-    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise DataValidationError(f"{path}: not a readable draws.npz archive") from exc
-    return PosteriorDraws(
-        scalars={k.removeprefix("scalar_"): v for k, v in arrays.items()
-                 if k.startswith("scalar_")},
-        w=arrays["w"], z=arrays["z"], delta_y=arrays["delta_y"], delta_x=arrays["delta_x"],
-        chain=arrays["chain"], log_posterior=arrays["log_posterior"],
-        acceptance=dict(zip(arrays["acceptance_keys"].tolist(),
-                            arrays["acceptance_vals"].tolist())),
-        shift_y=float(arrays["shift_y"]), shift_x=float(arrays["shift_x"]),
-    )
+    save_draws_npz(path, draws)  # a seam of its own, so a traced run times the write
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +239,9 @@ def run(cfg: RunConfig) -> int:
             "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)
     panel = load_panel(cfg.observed, cfg.simulated, net)
+    # of the modes only marginal-parametric reads no observation
+    if cfg.mode != "marginal-parametric" and np.isnan(panel.y).all():
+        raise DataValidationError(f"{cfg.observed}: no data rows")
     bad_days = [day for day in cfg.figure_days if not 0 <= day < panel.n_times]
     if bad_days:
         raise DataValidationError(
@@ -415,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC0FFEE)))
-    from .latent import StationNetwork
-
     n_s, n_obs = args.n_stations, args.n_observed
     if not 1 <= n_obs <= n_s:
         raise DataValidationError("need 1 <= n-observed <= n-stations")

@@ -77,10 +77,13 @@ def _read_rows(path, columns: tuple):
 
 
 def load_network(path) -> StationNetwork:
-    ids, coords, observed = [], [], []
+    ids, coords, observed = {}, [], []  # ids: station id -> its line
     for lineno, (sid, x_km, y_km, flag) in _read_rows(
             path, ("station_id", "x_km", "y_km", "observed")):
-        ids.append(sid)
+        if sid in ids:
+            raise DataValidationError(
+                f"{path} line {lineno}: duplicate station id {sid!r} (first on line {ids[sid]})")
+        ids[sid] = lineno
         try:
             coords.append((float(x_km), float(y_km)))
             flag = int(flag)
@@ -91,14 +94,14 @@ def load_network(path) -> StationNetwork:
         if flag not in (0, 1):
             raise DataValidationError(f"{path} line {lineno}: observed must be 0 or 1")
         observed.append(bool(flag))
-    if len(set(ids)) != len(ids):
-        raise DataValidationError("duplicate station ids in stations file")
-    return StationNetwork.from_coords(ids, np.array(coords), np.array(observed))
+    if not ids:
+        raise DataValidationError(f"{path}: no data rows")
+    return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed))
 
 
 def _read_long_panel(path, valid_ids):
-    """Read station_id,date,value rows; returns {(id, date): value} and date set."""
-    cells, dates = {}, set()
+    """Read station_id,date,value rows; returns {(id, date): value} and {date: first line}."""
+    cells, dates = {}, {}
     for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", "value")):
         if sid not in valid_ids:
             raise DataValidationError(f"{path} line {lineno}: station {sid!r} not in the network")
@@ -115,7 +118,7 @@ def _read_long_panel(path, valid_ids):
         if key in cells:
             raise DataValidationError(f"{path} line {lineno}: duplicate row for {key}")
         cells[key] = val
-        dates.add(date)
+        dates.setdefault(date, lineno)
     return cells, dates
 
 
@@ -123,7 +126,7 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     """Load and align the two long-form panel CSVs against the network."""
     all_ids = set(net.ids)
     obs_ids = {net.ids[i] for i in net.observed_indices}
-    y_cells, _ = _read_long_panel(observed_path, obs_ids)
+    y_cells, y_dates = _read_long_panel(observed_path, obs_ids)
     x_cells, x_dates = _read_long_panel(simulated_path, all_ids)
     if not x_cells:
         raise DataValidationError(f"{simulated_path}: no data rows")
@@ -135,16 +138,20 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
             if (sid, date) in x_cells:
                 x[i, j] = x_cells[(sid, date)]
     if np.any(np.isnan(x)):
-        raise DataValidationError("simulated panel is not a complete station-by-date rectangle")
+        i, j = np.argwhere(np.isnan(x))[0]
+        raise DataValidationError(f"{simulated_path}: simulated panel is not a complete station-"
+                                  f"by-date rectangle: no row for station {net.ids[i]!r} on {dates[j]}")
+    # dates in order of first appearance: the first stray date is on the first stray row
+    for date, line in y_dates.items():
+        if date not in x_dates:
+            raise DataValidationError(f"{observed_path} line {line}: date {date} outside the "
+                                      "simulated range")
     y = np.full((net.n_observed, n_times), np.nan)
     obs_order = [net.ids[i] for i in net.observed_indices]
     for r, sid in enumerate(obs_order):
         for j, date in enumerate(dates):
             if (sid, date) in y_cells:
                 y[r, j] = y_cells[(sid, date)]
-    stray = {d for (_, d) in y_cells} - set(dates)
-    if stray:
-        raise DataValidationError(f"observed panel has dates outside the simulated range: {sorted(stray)}")
     return PanelData(y=y, x=x, dates=dates)
 
 
@@ -249,8 +256,7 @@ def default_dates(n_times: int, start: str = "2013-01-01") -> tuple:
 
 
 def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
-                       seed: int = 0, missing_rate: float = 0.0,
-                       correlation_family: str = "disc"):
+                       seed: int = 0, missing_rate: float = 0.0):
     """Forward simulation of the full generative model.
 
     Returns (PanelData, SyntheticTruth) with the realized latent fields and
@@ -260,8 +266,8 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
     if not 0.0 <= missing_rate < 1.0:
         raise DomainError("missing_rate must be in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    corr = spatial_correlation(net.scaled_distances, truth.alpha, correlation_family)
-    factor = cholesky_correlation(corr, alpha_label=truth.alpha)
+    corr = spatial_correlation(net.scaled_distances, truth.alpha)
+    factor = cholesky_correlation(corr, truth.alpha)
     w = sample_spatial_field(factor, truth.tau_w, rng)
     z = sample_rw1_constrained(n_times, truth.tau_z, rng)
     obs = net.observed_indices

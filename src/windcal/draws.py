@@ -1,15 +1,23 @@
-"""Thinned MCMC output: stacked states plus derived per-cell scales."""
+"""Thinned MCMC output: the posterior-draws record and its draws.npz archive."""
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataValidationError, DomainError
 
 SCALAR_NAMES = ("beta_y", "beta_x", "kappa_y", "kappa_x",
                 "xi_y", "xi_x", "alpha", "tau_w", "tau_z")
+# the record's arrays: those stacked from the sampler states, then the rest
+STATE_ARRAYS = ("w", "z", "delta_y", "delta_x")
+ARRAYS = (*STATE_ARRAYS, "chain", "log_posterior")
+# the arrays of a draws.npz archive, in the order they are written
+ARCHIVE_KEYS = (*ARRAYS, "shift_y", "shift_x", "acceptance_keys", "acceptance_vals",
+                *(f"scalar_{name}" for name in SCALAR_NAMES))
 
 
 @dataclass
@@ -32,14 +40,10 @@ class PosteriorDraws:
                     shift_y, shift_x) -> "PosteriorDraws":
         if not states:
             raise DomainError("no retained draws")
-        scalars = {name: np.array([getattr(s, name) for s in states])
-                   for name in SCALAR_NAMES}
         return cls(
-            scalars=scalars,
-            w=np.stack([s.w for s in states]),
-            z=np.stack([s.z for s in states]),
-            delta_y=np.stack([s.delta_y for s in states]),
-            delta_x=np.stack([s.delta_x for s in states]),
+            scalars={name: np.array([getattr(s, name) for s in states])
+                     for name in SCALAR_NAMES},
+            **{name: np.stack([getattr(s, name) for s in states]) for name in STATE_ARRAYS},
             chain=np.full(len(states), chain_index, dtype=int),
             log_posterior=np.asarray(log_posterior),
             acceptance=dict(acceptance),
@@ -53,13 +57,9 @@ class PosteriorDraws:
             raise DomainError("nothing to merge")
         first = parts[0]
         return cls(
-            scalars={k: np.concatenate([p.scalars[k] for p in parts]) for k in first.scalars},
-            w=np.concatenate([p.w for p in parts]),
-            z=np.concatenate([p.z for p in parts]),
-            delta_y=np.concatenate([p.delta_y for p in parts]),
-            delta_x=np.concatenate([p.delta_x for p in parts]),
-            chain=np.concatenate([p.chain for p in parts]),
-            log_posterior=np.concatenate([p.log_posterior for p in parts]),
+            scalars={name: np.concatenate([p.scalars[name] for p in parts])
+                     for name in SCALAR_NAMES},
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in ARRAYS},
             acceptance={k: float(np.mean([p.acceptance[k] for p in parts]))
                         for k in first.acceptance},
             shift_y=first.shift_y,
@@ -70,9 +70,45 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.w.shape[0]
 
-    def sigma_y(self) -> np.ndarray:
-        """Per-draw implied scales -xi_y * delta_y(i, j); shape (n_draws, N, T)."""
-        return -self.scalars["xi_y"][:, None, None] * self.delta_y
+    def mean_sigma(self) -> tuple:
+        """Posterior means of the scales -xi * delta: (N, T) for y, (N_s, T) for x.
 
-    def sigma_x(self) -> np.ndarray:
-        return -self.scalars["xi_x"][:, None, None] * self.delta_x
+        Summed draw by draw in the order ``.mean(axis=0)`` sums, so the bits are
+        the same and no (n_draws, N, T) array is built.
+        """
+        xis = (self.scalars["xi_y"], self.scalars["xi_x"])
+        return tuple(sum((-xi[d] * delta[d] for d in range(1, self.n_draws)), -xi[0] * delta[0])
+                     / self.n_draws for xi, delta in zip(xis, (self.delta_y, self.delta_x)))
+
+
+def save_draws_npz(path, draws: PosteriorDraws):
+    """Write ``draws`` to an .npz archive of the arrays ARCHIVE_KEYS names."""
+    # uncompressed: deflating the draws took longer than the fit at 200x365
+    np.savez(path, **{name: getattr(draws, name) for name in ARRAYS},
+             shift_y=draws.shift_y, shift_x=draws.shift_x,
+             acceptance_keys=np.array(list(draws.acceptance.keys())),
+             acceptance_vals=np.array(list(draws.acceptance.values())),
+             **{f"scalar_{name}": draws.scalars[name] for name in SCALAR_NAMES})
+
+
+def load_draws_npz(path) -> PosteriorDraws:
+    """Read a draws.npz archive, compressed (as written before) or not."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataValidationError(f"{path}: an .npy array, not a draws.npz archive")
+        with data:
+            missing = [k for k in ARCHIVE_KEYS if k not in data.files]
+            if missing:
+                raise DataValidationError(f"{path}: no {missing[0]!r} array in the archive")
+            arrays = {k: data[k] for k in ARCHIVE_KEYS}
+    # a text or pickle file, an empty file, a truncated or corrupt archive
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataValidationError(f"{path}: not a readable draws.npz archive") from exc
+    return PosteriorDraws(
+        scalars={name: arrays[f"scalar_{name}"] for name in SCALAR_NAMES},
+        **{name: arrays[name] for name in ARRAYS},
+        acceptance=dict(zip(arrays["acceptance_keys"].tolist(),
+                            arrays["acceptance_vals"].tolist())),
+        shift_y=float(arrays["shift_y"]), shift_x=float(arrays["shift_x"]),
+    )

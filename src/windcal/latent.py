@@ -118,8 +118,8 @@ class CholFactor:
         return cho_solve((self.lower, True), np.eye(self.lower.shape[0]))
 
 
-def cholesky_correlation(corr: np.ndarray, alpha_label: float | None = None) -> CholFactor:
-    """Cholesky with escalating jitter (1e-10, x10 steps, up to 1e-6)."""
+def cholesky_correlation(corr: np.ndarray, alpha: float) -> CholFactor:
+    """Cholesky with escalating jitter (1e-10, x10 steps, up to 1e-6); a failure names alpha."""
     jitter = 0.0
     step = _JITTER_START
     while True:
@@ -129,10 +129,8 @@ def cholesky_correlation(corr: np.ndarray, alpha_label: float | None = None) -> 
             return CholFactor(lower=lower, logdet=logdet, jitter=jitter)
         except np.linalg.LinAlgError:
             if step > _JITTER_MAX:
-                raise NumericalError(
-                    f"correlation matrix not positive definite after jitter {_JITTER_MAX}"
-                    + (f" (alpha={alpha_label})" if alpha_label is not None else "")
-                )
+                raise NumericalError(f"correlation matrix not positive definite "
+                                     f"after jitter {_JITTER_MAX} (alpha={alpha})")
             jitter = step
             step *= 10.0
 
@@ -142,7 +140,7 @@ def spatial_logdensity(w, alpha: float, tau_w: float, d, family: str = "disc") -
     w = np.asarray(w, dtype=float)
     if tau_w <= 0:
         raise DomainError(f"tau_w must be positive, got {tau_w}")
-    factor = cholesky_correlation(spatial_correlation(d, alpha, family), alpha_label=alpha)
+    factor = cholesky_correlation(spatial_correlation(d, alpha, family), alpha)
     return spatial_logdensity_from_quad(w.size, tau_w, factor.logdet, factor.quad_form(w))
 
 

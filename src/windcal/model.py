@@ -288,7 +288,7 @@ class HierarchicalModel:
 
     def chol_factor(self, alpha: float) -> CholFactor:
         corr = spatial_correlation(self.d, alpha, self.family)
-        return cholesky_correlation(corr, alpha_label=alpha)
+        return cholesky_correlation(corr, alpha)
 
     def delta_prior_grid(self, lam, delta, shift):
         """Shifted-exponential log-densities per cell; -inf where delta <= shift."""

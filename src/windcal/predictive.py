@@ -12,6 +12,7 @@ from .draws import SCALAR_NAMES, PosteriorDraws
 from .errors import DomainError
 from .model import endpoint_draw, rates
 
+KDE_GRID_POINTS = 256  # where each day's densities are evaluated
 SUMMARY_COLUMNS = ("mean", "sd", "q2.5", "median", "q97.5", "min", "max")
 # scalars grouped by parameter, groups in alphabetical order
 SUMMARY_ROW_ORDER = tuple(sorted(SCALAR_NAMES, key=lambda name: name.split("_")[0]))
@@ -92,8 +93,8 @@ def summarize_posterior(draws: PosteriorDraws) -> dict:
     return table
 
 
-def gaussian_kde_1d(sample, grid, bandwidth: float | None = None):
-    """Gaussian KDE with Silverman's rule of thumb.
+def gaussian_kde_1d(sample, grid):
+    """Gaussian KDE with Silverman's rule of thumb; returns (density, bandwidth).
 
     h = 0.9 * min(sd, IQR/1.34) * n**(-1/5); falls back to 1.0 data unit
     when the sample is a single point or degenerate.
@@ -102,13 +103,12 @@ def gaussian_kde_1d(sample, grid, bandwidth: float | None = None):
     sample = sample[~np.isnan(sample)]
     if sample.size == 0:
         raise DomainError("KDE needs at least one value")
-    if bandwidth is None:
-        sd = sample.std(ddof=1) if sample.size > 1 else 0.0
-        iqr = float(np.subtract(*np.quantile(sample, [0.75, 0.25]))) if sample.size > 1 else 0.0
-        spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-        bandwidth = 0.9 * spread * sample.size ** (-0.2)
-        if not bandwidth > 0:
-            bandwidth = 1.0
+    sd = sample.std(ddof=1) if sample.size > 1 else 0.0
+    iqr = float(np.subtract(*np.quantile(sample, [0.75, 0.25]))) if sample.size > 1 else 0.0
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    bandwidth = 0.9 * spread * sample.size ** (-0.2)
+    if not bandwidth > 0:
+        bandwidth = 1.0
     grid = np.asarray(grid, dtype=float)
     zs = (grid[:, None] - sample[None, :]) / bandwidth
     dens = np.exp(-0.5 * zs ** 2).sum(axis=1) / (sample.size * bandwidth * math.sqrt(2 * math.pi))
@@ -139,7 +139,7 @@ def _five_number(values_2d):
 
 
 def export_figures(field: CalibratedField, y_full, x, draws: PosteriorDraws,
-                   station_ids, day: int, n_grid: int = 256) -> FigureBundle:
+                   station_ids, day: int) -> FigureBundle:
     """Figure-ready data for one day: KDEs, station triplets, scale boxplots.
 
     ``y_full`` is the observed panel expanded to all stations (NaN rows for
@@ -155,13 +155,12 @@ def export_figures(field: CalibratedField, y_full, x, draws: PosteriorDraws,
     cal_day = field.values[:, day]
     top = max(np.nanmax(obs_day) if np.any(~np.isnan(obs_day)) else 0.0,
               sim_day.max(), cal_day.max())
-    grid = np.linspace(0.0, 1.3 * top + 1e-9, n_grid)
+    grid = np.linspace(0.0, 1.3 * top + 1e-9, KDE_GRID_POINTS)
     kde_obs, _ = gaussian_kde_1d(obs_day, grid)
     kde_sim, _ = gaussian_kde_1d(sim_day, grid)
     kde_cal, _ = gaussian_kde_1d(cal_day, grid)
 
-    sig_y = draws.sigma_y().mean(axis=0)   # (N, T) posterior means
-    sig_x = draws.sigma_x().mean(axis=0)   # (N_s, T)
+    sig_y, sig_x = draws.mean_sigma()
     return FigureBundle(
         day=day, kde_grid=grid,
         kde_observed=kde_obs, kde_simulated=kde_sim, kde_calibrated=kde_cal,

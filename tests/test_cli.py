@@ -180,6 +180,27 @@ class TestMarginalModes:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{dataset}/simulated.csv: no data rows" in capsys.readouterr().err
 
+    def test_header_only_stations_rejected(self, tmp_path, dataset, capsys):
+        (dataset / "stations.csv").write_text("station_id,x_km,y_km,observed\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-empirical")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{dataset}/stations.csv: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["marginal-empirical", "hierarchical"])
+    def test_header_only_observed_rejected(self, tmp_path, dataset, capsys, mode):
+        (dataset / "observed.csv").write_text("station_id,date,value\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", mode=mode)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{dataset}/observed.csv: no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_marginal_parametric_reads_no_observation(self, tmp_path, dataset):
+        (dataset / "observed.csv").write_text("station_id,date,value\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-parametric", **self.LAWS)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+
     def test_marginal_parametric_requires_laws(self, tmp_path, dataset, capsys):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric")
@@ -263,6 +284,15 @@ class TestHierarchicalPipeline:
                          thinning=2, chains=2, seed=3)
         assert main(["fit", "--config", str(p)]) == EXIT_OK
         return out, saved[0]
+
+    def test_draws_npz_keys(self, run_dir):
+        # the archive format: archives already written must keep loading
+        with np.load(run_dir / "draws.npz") as data:
+            assert data.files == [
+                "w", "z", "delta_y", "delta_x", "chain", "log_posterior",
+                "shift_y", "shift_x", "acceptance_keys", "acceptance_vals",
+                "scalar_beta_y", "scalar_beta_x", "scalar_kappa_y", "scalar_kappa_x",
+                "scalar_xi_y", "scalar_xi_x", "scalar_alpha", "scalar_tau_w", "scalar_tau_z"]
 
     def test_draws_npz_roundtrip(self, saved_draws):
         out, draws = saved_draws

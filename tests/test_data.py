@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -219,8 +220,9 @@ class TestLoadValidation:
 
     def test_duplicate_station(self, tmp_path):
         p = self._write(tmp_path / "s.csv",
-                        "station_id,x_km,y_km,observed\na,0,0,1\na,1,1,1\n")
-        with pytest.raises(DataValidationError, match="duplicate"):
+                        "station_id,x_km,y_km,observed\na,0,0,1\nb,2,2,0\na,1,1,1\n")
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(str(p))} line 4: duplicate station id 'a'"):
             load_network(p)
 
     def _tiny_net(self, tmp_path):
@@ -262,16 +264,18 @@ class TestLoadValidation:
         sim = self._write(tmp_path / "x.csv",
                           "station_id,date,value\na,2013-01-01,1.0\n"
                           "a,2013-01-02,1.0\nb,2013-01-01,1.0\n")
-        with pytest.raises(DataValidationError, match="rectangle"):
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(sim))}: .*rectangle: "
+                           "no row for station 'b' on 2013-01-02$"):
             load_panel(obs, sim, net)
 
     def test_observed_date_outside_simulated_range(self, tmp_path):
         net = self._tiny_net(tmp_path)
-        obs = self._write(tmp_path / "o.csv",
-                          "station_id,date,value\na,2013-02-01,1.0\n")
+        obs = self._write(tmp_path / "o.csv", "station_id,date,value\na,2013-01-01,1.0\n"
+                          "a,2013-03-01,1.0\na,2013-02-01,1.0\n")
         sim = self._write(tmp_path / "x.csv",
                           "station_id,date,value\na,2013-01-01,1.0\nb,2013-01-01,1.0\n")
-        with pytest.raises(DataValidationError, match="outside"):
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(str(obs))} line 3: date 2013-03-01 outside"):
             load_panel(obs, sim, net)
 
 

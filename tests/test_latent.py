@@ -96,7 +96,7 @@ class TestCholeskyAndDensity:
     def test_positive_definite_no_jitter(self):
         net = toy_network()
         c = spatial_correlation(net.scaled_distances, 0.45, "exponential")
-        f = cholesky_correlation(c)
+        f = cholesky_correlation(c, 0.45)
         assert f.jitter == 0.0
         assert np.allclose(f.lower @ f.lower.T, c, atol=1e-12)
         sign, logdet = np.linalg.slogdet(c)
@@ -107,7 +107,7 @@ class TestCholeskyAndDensity:
 
     def test_jitter_escalation_on_singular_matrix(self):
         c = np.ones((3, 3))  # rank one
-        f = cholesky_correlation(c)
+        f = cholesky_correlation(c, 0.45)
         assert 0.0 < f.jitter <= 1e-6
 
     def test_logdensity_matches_scipy(self):
@@ -124,7 +124,7 @@ class TestCholeskyAndDensity:
     def test_sample_covariance(self):
         net = toy_network()
         c = spatial_correlation(net.scaled_distances, 0.4, "disc")
-        f = cholesky_correlation(c)
+        f = cholesky_correlation(c, 0.4)
         rng = np.random.default_rng(0)
         tau = 4.0
         draws = np.array([sample_spatial_field(f, tau, rng) for _ in range(20000)])

@@ -338,8 +338,12 @@ class TestRunMcmc:
         d = run_mcmc(m, McmcConfig(iterations=0, burn_in=0, thinning=1, seed=0))
         assert d.n_draws == 1
 
-    def test_sigma_draws_relation(self):
+    def test_mean_sigma_is_the_mean_over_draws(self):
         m = toy_model(seed=1)
-        d = run_mcmc(m, McmcConfig(iterations=10, burn_in=2, thinning=2, seed=0))
-        expect = -d.scalars["xi_y"][:, None, None] * d.delta_y
-        assert np.allclose(d.sigma_y(), expect)
+        d = run_mcmc(m, McmcConfig(iterations=40, burn_in=2, thinning=1, seed=0))
+        expect = [(-d.scalars[xi][:, None, None] * delta).mean(axis=0)
+                  for xi, delta in (("xi_y", d.delta_y), ("xi_x", d.delta_x))]
+        got = d.mean_sigma()
+        assert len(got) == 2
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
