@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
 
 from .draws import SCALAR_NAMES, PosteriorDraws
 from .egpd import egpd_draw, egpd_logpdf_kernel
@@ -69,7 +68,7 @@ def _normal(mean, precision) -> Law:
 
 
 def _gamma(shape, rate) -> Law:
-    const = shape * math.log(rate) - gammaln(shape)
+    const = shape * math.log(rate) - math.lgamma(shape)
     return Law(lambda x: const + (shape - 1.0) * math.log(x) - rate * x,
                lambda rng: rng.gamma(shape, 1.0 / rate), 0.0, math.inf,
                lambda x, step: (x * math.exp(step), step))
@@ -84,12 +83,26 @@ def _uniform(lo, hi) -> Law:
     return Law(lambda x: -math.log(hi - lo), lambda rng: rng.uniform(lo, hi), lo, hi, move)
 
 
+# The two box maps repeat scipy.special's logit and expit operation for
+# operation, so they agree bit for bit without importing scipy.special.
+
 def _logit_box(x, lo, hi):
-    return logit((x - lo) / (hi - lo))
+    p = (x - lo) / (hi - lo)
+    if 0.3 <= p <= 0.65:
+        # log(p / (1 - p)) loses precision near p = 0.5
+        s = 2.0 * (p - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(p / (1.0 - p))
 
 
 def _expit_box(t, lo, hi):
-    return lo + (hi - lo) * expit(t)
+    # exp overflows for t below about -709.78: such a far proposal maps to lo,
+    # and the support check in _metropolis rejects it
+    try:
+        p = 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        p = 0.0
+    return lo + (hi - lo) * p
 
 
 def _log_jac_box(t, lo, hi):

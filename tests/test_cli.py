@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +44,20 @@ def write_config(path, dataset, outdir, **extra):
     lines += [f"{k} = {v}" for k, v in extra.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def loaded_modules(args):
+    """The modules a fresh interpreter holds after ``cli.main(args)`` returns."""
+    script = ("import sys\nfrom windcal import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(*sorted(sys.modules))\nsys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def read_rows(path):
@@ -423,3 +439,36 @@ class TestDeterminism:
             assert main(["fit", "--config", str(p)]) == EXIT_OK
             payloads.append((out / "posterior.csv").read_bytes())
         assert payloads[0] != payloads[1]
+
+
+class TestImportFootprint:
+    """Only fit pays for scipy, and only for scipy.linalg's triangular solves."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path, dataset):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", dataset, out, mode="hierarchical",
+                         iterations=6, burn_in=2, thinning=1, chains=1)
+        return loaded_modules(["fit", "--config", p]), out
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        assert "scipy" not in loaded_modules(
+            ["simulate", "--out-dir", tmp_path / "d", "--n-stations", "4",
+             "--n-observed", "2", "--n-times", "3", "--seed", "1"])
+
+    @pytest.mark.parametrize("mode, laws", [("marginal-empirical", {}),
+                                            ("marginal-parametric", TestMarginalModes.LAWS)])
+    def test_marginal_calibrate_loads_no_scipy(self, tmp_path, dataset, mode, laws):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", mode=mode, **laws)
+        assert "scipy" not in loaded_modules(["calibrate", "--config", p])
+
+    def test_fit_loads_scipy_linalg_only(self, fitted):
+        modules, _ = fitted
+        assert "scipy.linalg" in modules
+        assert "scipy.special" not in modules
+
+    def test_reading_a_fit_back_loads_no_scipy(self, fitted, tmp_path):
+        _, out = fitted
+        for args in (["summarize", "--draws", out / "draws.npz", "--out", tmp_path / "t.csv"],
+                     ["export-figures", "--run-dir", out, "--day", "1"]):
+            assert "scipy" not in loaded_modules(args), args[0]

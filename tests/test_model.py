@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from windcal.data import SyntheticTruth, generate_synthetic
 from windcal.errors import DataValidationError, DomainError, NumericalError
@@ -15,6 +16,7 @@ from windcal.model import (
     MwgSampler,
     PriorSpec,
     _expit_box,
+    _gamma,
     _log_jac_box,
     _logit_box,
     run_mcmc,
@@ -169,6 +171,30 @@ class TestTransforms:
             h = 1e-6
             num = (_expit_box(t + h, lo, hi) - _expit_box(t - h, lo, hi)) / (2 * h)
             assert _log_jac_box(t, lo, hi) == pytest.approx(math.log(num), abs=1e-8)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 0.0), (0.1, 0.5)])
+    def test_box_maps_match_scipy_bit_for_bit(self, lo, hi):
+        # logit switches formula at p = 0.3 and p = 0.65; hit both edges and
+        # their neighbours as well as a dense grid
+        edges = [np.nextafter(e, d) for e in (0.3, 0.65) for d in (0.0, 0.3, 1.0)]
+        p = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 20001), edges])
+        for x in lo + (hi - lo) * p:
+            assert _logit_box(float(x), lo, hi) == special.logit((x - lo) / (hi - lo))
+        for t in np.concatenate([np.linspace(-720.0, 720.0, 20001), [-709.8, 709.8]]):
+            assert _expit_box(float(t), lo, hi) == lo + (hi - lo) * special.expit(t)
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.0), (0.1, 0.5)])
+    def test_far_proposal_maps_to_box_edge(self, lo, hi):
+        assert _expit_box(800.0, lo, hi) == hi
+        assert _expit_box(-800.0, lo, hi) == lo
+
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 1.0, 2.5, 10.0])
+    def test_gamma_logpdf_matches_scipy(self, shape):
+        for rate in (0.05, 0.1, 2.0):
+            law = _gamma(shape, rate)
+            for x in (0.01, 0.3, 1.0, 4.0, 25.0):
+                assert law.logpdf(x) == pytest.approx(
+                    stats.gamma.logpdf(x, shape, scale=1.0 / rate), rel=1e-13)
 
 
 class TestSampler:
