@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationMap, EmpiricalCdf, marginal_calibrate
+from .calibration import (CalibrationMap, EmpiricalCdf, conditional_calibrate_flagged,
+                          marginal_calibrate)
 from .data import (
     PanelData,
     SyntheticTruth,
@@ -39,7 +40,8 @@ from .egpd import EgpdParams, egpd_faults
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import CORRELATION_FAMILIES, StationNetwork
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
-from .predictive import CalibratedField, calibrate_field, export_figures, summarize_posterior
+from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, export_figures,
+                         summarize_posterior)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -176,8 +178,6 @@ def _write_posterior_csv(path, draws: PosteriorDraws, full_dump: bool):
 
 
 def _write_summary_csv(path, table: dict):
-    from .predictive import SUMMARY_COLUMNS
-
     write_table(path, ["parameter", *SUMMARY_COLUMNS],
                 [[list(table), *(np.array([row[c] for row in table.values()])
                                  for c in SUMMARY_COLUMNS)]])
@@ -224,8 +224,6 @@ def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedFi
     # parse_config checked every law the config sets, run() that both are set
     src, tgt = (EgpdParams(*(getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS))
                 for side in ("source", "target"))
-    from .calibration import conditional_calibrate_flagged
-
     values, clamped = conditional_calibrate_flagged(panel.x, src, tgt)
     return CalibratedField(values=values, sd=np.zeros_like(values),
                            clamped=clamped, clamp_fraction=clamped.astype(float))

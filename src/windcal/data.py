@@ -19,16 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .egpd import egpd_draw
+from .draws import SCALAR_NAMES, STATE_ARRAYS
 from .errors import DataValidationError, DomainError
-from .latent import (
-    StationNetwork,
-    cholesky_correlation,
-    sample_rw1_constrained,
-    sample_spatial_field,
-    spatial_correlation,
-)
-from .model import endpoint_draw, rates
+from .latent import StationNetwork
+from .model import HierarchicalModel
 
 
 @dataclass
@@ -124,19 +118,13 @@ def _read_long_panel(path, valid_ids):
 
 def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     """Load and align the two long-form panel CSVs against the network."""
-    all_ids = set(net.ids)
-    obs_ids = {net.ids[i] for i in net.observed_indices}
-    y_cells, y_dates = _read_long_panel(observed_path, obs_ids)
-    x_cells, x_dates = _read_long_panel(simulated_path, all_ids)
+    obs_ids = [net.ids[i] for i in net.observed_indices]
+    y_cells, y_dates = _read_long_panel(observed_path, set(obs_ids))
+    x_cells, x_dates = _read_long_panel(simulated_path, set(net.ids))
     if not x_cells:
         raise DataValidationError(f"{simulated_path}: no data rows")
     dates = tuple(sorted(x_dates))
-    n_times = len(dates)
-    x = np.full((net.n_total, n_times), np.nan)
-    for i, sid in enumerate(net.ids):
-        for j, date in enumerate(dates):
-            if (sid, date) in x_cells:
-                x[i, j] = x_cells[(sid, date)]
+    x = _grid(x_cells, net.ids, dates)
     if np.any(np.isnan(x)):
         i, j = np.argwhere(np.isnan(x))[0]
         raise DataValidationError(f"{simulated_path}: simulated panel is not a complete station-"
@@ -146,13 +134,13 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
         if date not in x_dates:
             raise DataValidationError(f"{observed_path} line {line}: date {date} outside the "
                                       "simulated range")
-    y = np.full((net.n_observed, n_times), np.nan)
-    obs_order = [net.ids[i] for i in net.observed_indices]
-    for r, sid in enumerate(obs_order):
-        for j, date in enumerate(dates):
-            if (sid, date) in y_cells:
-                y[r, j] = y_cells[(sid, date)]
-    return PanelData(y=y, x=x, dates=dates)
+    return PanelData(y=_grid(y_cells, obs_ids, dates), x=x, dates=dates)
+
+
+def _grid(cells: dict, ids, dates) -> np.ndarray:
+    """The (station, date) array of ``cells``, NaN where a cell has no row."""
+    values = map(cells.get, itertools.product(ids, dates), itertools.repeat(math.nan))
+    return np.fromiter(values, float, count=len(ids) * len(dates)).reshape(len(ids), len(dates))
 
 
 class _Echo:
@@ -261,20 +249,18 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
 
     Returns (PanelData, SyntheticTruth) with the realized latent fields and
     per-cell endpoints filled in.  ``missing_rate`` removes observed cells
-    completely at random.
+    completely at random.  The draw is HierarchicalModel's own, so ``net``
+    needs an observed station, as the model does.
     """
     if not 0.0 <= missing_rate < 1.0:
         raise DomainError("missing_rate must be in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    corr = spatial_correlation(net.scaled_distances, truth.alpha)
-    factor = cholesky_correlation(corr, truth.alpha)
-    w = sample_spatial_field(factor, truth.tau_w, rng)
-    z = sample_rw1_constrained(n_times, truth.tau_z, rng)
-    obs = net.observed_indices
-    delta_y = endpoint_draw(rng, truth.shift_y, rates(truth.beta_y, w[obs], z))
-    delta_x = endpoint_draw(rng, truth.shift_x, rates(truth.beta_x, w, z))
-    y = egpd_draw(rng, delta_y, truth.xi_y, truth.kappa_y)
-    x = egpd_draw(rng, delta_x, truth.xi_x, truth.kappa_x)
+    # the model's own forward draw, on placeholder panels that fix only the shapes
+    ones = np.ones((net.n_total, n_times))
+    model = HierarchicalModel(ones[net.observed_indices], ones, net,
+                              shift_y=truth.shift_y, shift_x=truth.shift_x)
+    state = model.sample_latents({name: getattr(truth, name) for name in SCALAR_NAMES}, rng)
+    y, x = model.sample_panels(state, rng)
     if missing_rate > 0:
         drop = rng.uniform(size=y.shape) < missing_rate
         # keep at least one observation per station so empirical baselines work
@@ -283,5 +269,4 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
                 drop[r, rng.integers(y.shape[1])] = False
         y = np.where(drop, np.nan, y)
     panel = PanelData(y=y, x=x, dates=default_dates(n_times))
-    filled = replace(truth, w=w, z=z, delta_y=delta_y, delta_x=delta_x)
-    return panel, filled
+    return panel, replace(truth, **{name: getattr(state, name) for name in STATE_ARRAYS})

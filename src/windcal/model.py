@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .draws import SCALAR_NAMES, PosteriorDraws
+from .draws import SCALAR_NAMES, STATE_ARRAYS, PosteriorDraws
 from .egpd import egpd_draw, egpd_logpdf_kernel
 from .errors import DataValidationError, DomainError, NumericalError
 from .latent import (
@@ -190,8 +190,7 @@ class ModelState:
     delta_x: np.ndarray  # (N_s, T)
 
     def copy(self) -> "ModelState":
-        return replace(self, w=self.w.copy(), z=self.z.copy(),
-                       delta_y=self.delta_y.copy(), delta_x=self.delta_x.copy())
+        return replace(self, **{name: getattr(self, name).copy() for name in STATE_ARRAYS})
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +239,10 @@ def rates(beta, w_rows, z):
 def endpoint_draw(rng, shift, lam):
     """Endpoints from the shifted-exponential prior: shift + Exponential(rate lam)."""
     return shift + rng.exponential(1.0 / lam)
+
+
+# where a chain starts, by scalar family (the part of the name before "_")
+_START = {"beta": 0.0, "kappa": 1.0, "xi": -0.1, "alpha": 0.3, "tau": 1.0}
 
 
 def _expm1(x: float) -> float:
@@ -356,7 +359,11 @@ class HierarchicalModel:
 
     def sample_prior_state(self, rng) -> ModelState:
         """Forward draw of every unknown given the fixed shifts."""
-        draw = {name: law.draw(rng) for name, law in self.laws.items()}
+        return self.sample_latents({name: law.draw(rng) for name, law in self.laws.items()}, rng)
+
+    def sample_latents(self, scalars: dict, rng) -> ModelState:
+        """Forward draw of w, z and each margin's endpoints given the nine scalars."""
+        draw = dict(scalars)
         w = sample_spatial_field(self.chol_factor(draw["alpha"]), draw["tau_w"], rng)
         z = sample_rw1_constrained(self.n_times, draw["tau_z"], rng)
         for mg in self.margins:
@@ -371,15 +378,18 @@ class HierarchicalModel:
     # -- initialization ---------------------------------------------------------
 
     def initialize_state(self) -> ModelState:
+        # each scalar starts at its family's fixed value, or at the middle of
+        # a prior box that leaves that value out
         start = {}
+        for name, law in self.laws.items():
+            value = _START[name.split("_")[0]]
+            start[name] = value if law.lo < value < law.hi else 0.5 * (law.lo + law.hi)
         for mg, panel in zip(self.margins, (self.y, self.x)):
             sd = float(np.nanstd(panel))
             if sd <= 0:
                 raise DataValidationError("degenerate (constant) panel; cannot initialize")
-            start.update({mg.beta: 0.0, mg.kappa: 1.0, mg.xi: -0.1})
             start[mg.delta] = np.full(panel.shape, max(mg.shift, float(np.nanmax(panel))) + sd)
-        state = ModelState(alpha=0.3, tau_w=1.0, tau_z=1.0, w=np.zeros(self.n_total),
-                           z=np.zeros(self.n_times), **start)
+        state = ModelState(w=np.zeros(self.n_total), z=np.zeros(self.n_times), **start)
         lp = self.log_posterior(state)
         if not np.isfinite(lp):
             raise NumericalError("initial state has non-finite log-posterior")

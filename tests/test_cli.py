@@ -173,6 +173,22 @@ class TestExitCodes:
         assert not (out / "calibrated.csv").exists()
 
 
+class TestStartState:
+    # the chain starts at xi = -0.1 and alpha = 0.3 unless the prior box leaves them out
+    @pytest.mark.parametrize("key, value", [("prior_xi_low", "-0.05"), ("prior_xi_high", "-0.2"),
+                                            ("prior_alpha_low", "0.35"),
+                                            ("prior_alpha_high", "0.2")])
+    def test_box_without_fixed_start_value_fits(self, tmp_path, key, value):
+        d = tmp_path / "data"
+        assert main(["simulate", "--out-dir", str(d), "--n-stations", "6", "--n-observed", "4",
+                     "--n-times", "5", "--seed", "1"]) == EXIT_OK
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", d, out, iterations=20, burn_in=5, thinning=1,
+                         **{key: value})
+        assert main(["fit", "--config", str(p)]) == EXIT_OK
+        assert (out / "posterior.csv").exists()
+
+
 class TestMarginalModes:
     def test_marginal_empirical(self, tmp_path, dataset):
         out = tmp_path / "out"
@@ -216,6 +232,17 @@ class TestMarginalModes:
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric", **self.LAWS)
         assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+
+    def test_marginal_parametric_on_network_without_observed_station(self, tmp_path, dataset):
+        lines = (dataset / "stations.csv").read_text().splitlines()
+        (dataset / "stations.csv").write_text(
+            "\n".join([lines[0], *(line.rsplit(",", 1)[0] + ",0" for line in lines[1:])]) + "\n")
+        (dataset / "observed.csv").write_text("station_id,date,value\n")
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", dataset, out,
+                         mode="marginal-parametric", **self.LAWS)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+        assert len(read_rows(out / "calibrated.csv")) == 5 * 4
 
     def test_marginal_parametric_requires_laws(self, tmp_path, dataset, capsys):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",

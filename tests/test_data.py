@@ -1,6 +1,7 @@
 """Unit tests for CSV ingestion, validation, and forward simulation."""
 
 import csv
+import hashlib
 import itertools
 import math
 import re
@@ -307,10 +308,45 @@ class TestGenerateSynthetic:
         b, _ = generate_synthetic(SyntheticTruth(), net, 5, seed=9)
         assert np.array_equal(a.x, b.x)
 
+    # sha256 of each array's bytes from the generator at (seed, missing_rate):
+    # a reordered or changed draw shows here, not only as a new seed's panel
+    STREAM = {
+        (5, 0.0): {
+            "y": "68a0612be85becd0e42da53e36877b9fcfe961c9fa960a27dd557436491a9662",
+            "x": "e61f18994963ce90bce76ee0197962e9fd388f77c794e25be90a036b47f163a6",
+            "w": "b6f27046a095fc696e4989b7fd14614cfb5103feca27328729336f5b860e55c3",
+            "z": "f9f2ecf9f29306a44cd0996ff07da0c2437e83fc1e586e85f88e96e6be5df611",
+            "delta_y": "922c42c7fb3a60a4339b11f7b46374cb69177b2e56e075839dedec71b5856ed4",
+            "delta_x": "d753ecaa7f96971d82036a2c7277675cfb6cc6bdceba16998a21596b816893b8",
+        },
+        (2, 0.3): {
+            "y": "9b7b4d14bafa4dbe3f2610a99a12322f66856b6ffa9bf9787fba78c1f6f280e2",
+            "x": "1def6652201ee68107f9084e05c74cb283df978cf25c0bc204da7851321e1a1b",
+            "w": "616acae7dadac9b95c77cab8cddf56cb742792a1a798109be295bd7e58947999",
+            "z": "ef9392ebd3961263adc8e36a18b8b4107656b1a4a8210126ff35103c65848673",
+            "delta_y": "ff75ea6ea2a468e83b2a60fe165bad2178dab7c7fb10f9699131c84fbb99fda3",
+            "delta_x": "1ded2191a9ac132e485bbcb81d8e70ae7aa6d85c9a4bfd4a3f9a5deb1428cf49",
+        },
+    }
+
+    @pytest.mark.parametrize("seed, missing_rate", list(STREAM))
+    def test_stream_pinned(self, seed, missing_rate):
+        net = toy_network(n_total=6, n_obs=3)
+        panel, tr = generate_synthetic(SyntheticTruth(), net, 8, seed=seed,
+                                       missing_rate=missing_rate)
+        arrays = {"y": panel.y, "x": panel.x, "w": tr.w, "z": tr.z,
+                  "delta_y": tr.delta_y, "delta_x": tr.delta_x}
+        assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()} == \
+            self.STREAM[seed, missing_rate]
+
     def test_rejects_bad_missing_rate(self):
         net = toy_network()
         with pytest.raises(DomainError):
             generate_synthetic(SyntheticTruth(), net, 5, missing_rate=1.0)
+
+    def test_needs_an_observed_station(self):
+        with pytest.raises(DataValidationError, match="observed panel has no data"):
+            generate_synthetic(SyntheticTruth(), toy_network(n_obs=0), 5)
 
 
 def test_default_dates_are_consecutive():
