@@ -9,7 +9,7 @@ Gaussian fields, fitted by MCMC.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibrationMap, EmpiricalCdf, conditional_calibrate, marginal_calibrate
+from .calibration import CalibrationMap, EmpiricalCdf, conditional_calibrate
 from .data import PanelData, SyntheticTruth, generate_synthetic, load_network, load_panel
 from .draws import PosteriorDraws
 from .egpd import (

@@ -1,9 +1,9 @@
-"""Quantile-matching calibration maps.
+"""Quantile-matching calibration maps, one per law family.
 
 A calibration map sends a value through the source CDF and back out through
 the target quantile function, so calibrated data inherits the target
-distribution.  Source and target laws may each be a fitted EGPD or an
-empirical CDF built from a sample.
+distribution.  Empirical laws map through ``CalibrationMap``; fitted EGPD
+laws map through ``conditional_map``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egpd import EgpdParams, egpd_cdf, egpd_quantile, gpd_isf, gpd_log_sf
+from .egpd import EgpdParams, gpd_isf, gpd_log_sf
 from .errors import DomainError
 
 
@@ -52,62 +52,22 @@ class EmpiricalCdf:
         return out if out.ndim else float(out)
 
 
-Law = EgpdParams | EmpiricalCdf
-
-
-def _law_cdf(x, law: Law):
-    if isinstance(law, EgpdParams):
-        # values past the fitted endpoint are clamped to it (flag handled
-        # by callers that track clamping)
-        return egpd_cdf(np.minimum(x, law.delta), law)
-    return law.cdf(x)
-
-
-def _law_quantile(u, law: Law):
-    if isinstance(law, EgpdParams):
-        return egpd_quantile(u, law)
-    return law.quantile(u)
-
-
 @dataclass(frozen=True)
 class CalibrationMap:
-    """Monotone map x -> F_target^{-1}(F_source(x))."""
+    """Monotone empirical map x -> F_target^{-1}(F_source(x)); NaN stays NaN."""
 
-    source: Law
-    target: Law
+    source: EmpiricalCdf
+    target: EmpiricalCdf
 
     def __call__(self, x):
-        if isinstance(self.source, EgpdParams) and isinstance(self.target, EgpdParams):
-            return conditional_calibrate(x, self.source, self.target)
-        return _law_quantile(_law_cdf(x, self.source), self.target)
-
-
-def marginal_calibrate(x, cal_map: CalibrationMap) -> np.ndarray:
-    """Apply a calibration map elementwise; NaN inputs stay NaN."""
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, np.nan)
-    ok = ~np.isnan(x)
-    if np.any(ok):
-        out[ok] = cal_map(x[ok])
-    return out
+        return self.target.quantile(self.source.cdf(x))
 
 
 def conditional_calibrate(x, px: EgpdParams, py: EgpdParams):
-    """Per-cell parametric map egpd_quantile(egpd_cdf(x, px), py).
-
-    Values above the source endpoint are clamped to it first.
-    """
-    value, _ = conditional_calibrate_flagged(x, px, py)
-    return value
-
-
-def conditional_calibrate_flagged(x, px: EgpdParams, py: EgpdParams):
-    """Like conditional_calibrate but also returns the clamp indicator(s)."""
-    x = np.asarray(x, dtype=float)
-    value, clamped = conditional_map(x, px.delta, px.xi, px.kappa, py.delta, py.xi, py.kappa)
-    if x.ndim == 0:
-        return float(value), bool(clamped)
-    return np.asarray(value), clamped
+    """Values of ``conditional_map`` from law ``px`` to law ``py``; float for scalar x."""
+    value, _ = conditional_map(np.asarray(x, dtype=float), px.delta, px.xi, px.kappa,
+                               py.delta, py.xi, py.kappa)
+    return value if value.ndim else float(value)
 
 
 def conditional_map(x, delta_x, xi_x, kappa_x, delta_y, xi_y, kappa_y):

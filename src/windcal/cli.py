@@ -3,7 +3,8 @@
 Subcommands: simulate, calibrate, fit, summarize, export-figures.
 Exit codes: 0 ok, 1 usage, 2 data validation, 3 numerical failure.
 
-Config files are flat ``key = value`` text (# comments allowed); the path
+Config files are flat ``key = value`` text; ``#`` starts a comment at the
+start of a line or after whitespace, so a value may hold ``#``.  The path
 keys (stations, observed, simulated, output_dir) can be overridden by
 environment variables WINDCAL_STATIONS, WINDCAL_OBSERVED, WINDCAL_SIMULATED,
 WINDCAL_OUTPUT_DIR.
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .calibration import (CalibrationMap, EmpiricalCdf, conditional_calibrate_flagged,
-                          marginal_calibrate)
+from .calibration import CalibrationMap, EmpiricalCdf, conditional_map
 from .data import (
     PanelData,
     SyntheticTruth,
@@ -41,7 +42,7 @@ from .errors import DataValidationError, DomainError, NumericalError, WindcalErr
 from .latent import CORRELATION_FAMILIES, StationNetwork
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
 from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, export_figures,
-                         summarize_posterior)
+                         sigma_boxes, summarize_posterior)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +54,8 @@ MODES = ("marginal-empirical", "marginal-parametric", "hierarchical")
 _INPUT_KEYS = ("stations", "observed", "simulated")
 _PATH_KEYS = (*_INPUT_KEYS, "output_dir")
 _LAW_FIELDS = ("delta", "xi", "kappa")
+# a '#' at the start of a line or after whitespace, and the rest of the line
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 # the words each word-valued key accepts, and what they are read as
 _CHOICES = {"mode": {m: m for m in MODES},
@@ -107,7 +110,7 @@ def parse_config(path) -> RunConfig:
     raw = {}  # key -> (value, where it was set)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", line, count=1).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -199,6 +202,12 @@ def _save_draws_npz(path, draws: PosteriorDraws):
 # pipelines
 # ---------------------------------------------------------------------------
 
+def _point_field(values, clamped) -> CalibratedField:
+    """A marginal map's field: one value per cell, no predictive spread."""
+    return CalibratedField(values=values, sd=np.zeros_like(values),
+                           clamped=clamped, clamp_fraction=clamped.astype(float))
+
+
 def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
     """Station-wise empirical maps; pooled map for simulator-only stations."""
     obs_idx = net.observed_indices
@@ -214,19 +223,17 @@ def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
             tgt = EmpiricalCdf.from_sample(panel.y[r])
         else:
             src, tgt = pooled_x, pooled_y
-        values[i] = marginal_calibrate(panel.x[i], CalibrationMap(src, tgt))
+        values[i] = CalibrationMap(src, tgt)(panel.x[i])
         clamped[i] = panel.x[i] > src.values.max()
-    return CalibratedField(values=values, sd=np.zeros_like(values),
-                           clamped=clamped, clamp_fraction=clamped.astype(float))
+    return _point_field(values, clamped)
 
 
 def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedField:
     # parse_config checked every law the config sets, run() that both are set
     src, tgt = (EgpdParams(*(getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS))
                 for side in ("source", "target"))
-    values, clamped = conditional_calibrate_flagged(panel.x, src, tgt)
-    return CalibratedField(values=values, sd=np.zeros_like(values),
-                           clamped=clamped, clamp_fraction=clamped.astype(float))
+    return _point_field(*conditional_map(panel.x, src.delta, src.xi, src.kappa,
+                                         tgt.delta, tgt.xi, tgt.kappa))
 
 
 def run(cfg: RunConfig) -> int:
@@ -279,7 +286,9 @@ def run(cfg: RunConfig) -> int:
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
         manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
         for day in cfg.figure_days:
-            _export_day(cfg.output_dir, net, panel, draws, field_, day)
+            _export_day(cfg.output_dir, net, panel, field_, day)
+        if cfg.figure_days:
+            _export_sigma_boxplot(cfg.output_dir, draws)
     manifest["wall_time_s"] = time.time() - t_start
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -292,9 +301,18 @@ def _expand_y(panel: PanelData, net) -> np.ndarray:
     return y_full
 
 
-def _export_day(outdir, net, panel, draws, field_, day, svg=False):
-    bundle = export_figures(field_, _expand_y(panel, net), panel.x, draws,
-                            net.ids, day)
+def _export_sigma_boxplot(outdir, draws: PosteriorDraws):
+    box_y, box_x = sigma_boxes(draws)
+    n_days = box_y.shape[0]
+    # one y row, then one x row, per day
+    boxes = np.stack([box_y, box_x], axis=1).reshape(2 * n_days, -1)
+    write_table(os.path.join(outdir, "sigma_boxplot.csv"),
+                ["day", "panel", "min", "q1", "median", "q3", "max"],
+                [[np.repeat(np.arange(n_days), 2), ["y", "x"] * n_days, *boxes.T]])
+
+
+def _export_day(outdir, net, panel, field_, day, svg=False):
+    bundle = export_figures(field_, _expand_y(panel, net), panel.x, net.ids, day)
     prefix = os.path.join(outdir, f"day{day:03d}")
     write_table(prefix + "_kde.csv",
                 ["value", "dens_observed", "dens_simulated", "dens_calibrated"],
@@ -304,12 +322,6 @@ def _export_day(outdir, net, panel, draws, field_, day, svg=False):
     observed = np.ma.masked_array(bundle.observed, np.isnan(bundle.observed))
     write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
                 [[bundle.station_ids, observed, bundle.simulated, bundle.calibrated]])
-    n_days = bundle.sigma_y_box.shape[0]
-    # one y row, then one x row, per day
-    boxes = np.stack([bundle.sigma_y_box, bundle.sigma_x_box], axis=1).reshape(2 * n_days, -1)
-    write_table(os.path.join(outdir, "sigma_boxplot.csv"),
-                ["day", "panel", "min", "q1", "median", "q3", "max"],
-                [[np.repeat(np.arange(n_days), 2), ["y", "x"] * n_days, *boxes.T]])
     if svg:
         _render_svg(prefix, bundle)
 
@@ -417,7 +429,8 @@ def _cmd_export_figures(args) -> int:
         raise DataValidationError("export-figures needs a hierarchical run (draws.npz missing)")
     draws = load_draws_npz(draws_path)
     field_ = calibrate_field(draws, panel.x, net.observed_indices, seed=cfg_dict["seed"])
-    _export_day(args.run_dir, net, panel, draws, field_, args.day, svg=args.svg)
+    _export_day(args.run_dir, net, panel, field_, args.day, svg=args.svg)
+    _export_sigma_boxplot(args.run_dir, draws)
     return EXIT_OK
 
 

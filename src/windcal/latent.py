@@ -186,9 +186,12 @@ def rw1_logdensity(z, tau_z: float) -> float:
 
 
 def rw1_logdensity_from_quad(n: int, tau_z: float, quad: float) -> float:
-    """Constrained RW1 log-density of a centred n-vector z from its quadratic form."""
-    logdet = float(np.sum(np.log(rw1_eigenvalues(n)))) if n > 1 else 0.0
-    return 0.5 * (n - 1) * math.log(tau_z / (2.0 * math.pi)) + 0.5 * logdet \
+    """Constrained RW1 log-density of a centred n-vector z from its quadratic form.
+
+    The nonzero eigenvalues of the path-graph Laplacian K multiply to exactly
+    n (matrix-tree theorem), so its log pseudo-determinant is log(n).
+    """
+    return 0.5 * (n - 1) * math.log(tau_z / (2.0 * math.pi)) + 0.5 * math.log(n) \
         - 0.5 * tau_z * quad
 
 

@@ -117,7 +117,7 @@ def gaussian_kde_1d(sample, grid):
 
 @dataclass
 class FigureBundle:
-    """Figure-ready arrays for one day plus the panel-wide scale boxplot data."""
+    """Figure-ready arrays for one day."""
 
     day: int
     kde_grid: np.ndarray
@@ -128,19 +128,17 @@ class FigureBundle:
     observed: np.ndarray      # (N_s,) NaN where no observation
     simulated: np.ndarray
     calibrated: np.ndarray
-    sigma_y_box: np.ndarray   # (T, 5) five-number summaries per day
-    sigma_x_box: np.ndarray
 
 
-def _five_number(values_2d):
-    """Per-column five-number summaries (min, q1, median, q3, max)."""
-    qs = np.quantile(values_2d, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
-    return qs.T
+def sigma_boxes(draws: PosteriorDraws) -> tuple:
+    """Per-day five-number summaries (min, q1, median, q3, max) of the
+    posterior-mean scales over stations: (T, 5) for y, then for x."""
+    return tuple(np.quantile(sigma, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0).T
+                 for sigma in draws.mean_sigma())
 
 
-def export_figures(field: CalibratedField, y_full, x, draws: PosteriorDraws,
-                   station_ids, day: int) -> FigureBundle:
-    """Figure-ready data for one day: KDEs, station triplets, scale boxplots.
+def export_figures(field: CalibratedField, y_full, x, station_ids, day: int) -> FigureBundle:
+    """Figure-ready data for one day: KDEs and station triplets.
 
     ``y_full`` is the observed panel expanded to all stations (NaN rows for
     simulator-only stations).
@@ -160,12 +158,9 @@ def export_figures(field: CalibratedField, y_full, x, draws: PosteriorDraws,
     kde_sim, _ = gaussian_kde_1d(sim_day, grid)
     kde_cal, _ = gaussian_kde_1d(cal_day, grid)
 
-    sig_y, sig_x = draws.mean_sigma()
     return FigureBundle(
         day=day, kde_grid=grid,
         kde_observed=kde_obs, kde_simulated=kde_sim, kde_calibrated=kde_cal,
         station_ids=tuple(station_ids),
         observed=obs_day, simulated=sim_day, calibrated=cal_day,
-        sigma_y_box=_five_number(sig_y),
-        sigma_x_box=_five_number(sig_x),
     )

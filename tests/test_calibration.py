@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from windcal.calibration import (
-    CalibrationMap,
-    EmpiricalCdf,
-    conditional_calibrate,
-    conditional_calibrate_flagged,
-    marginal_calibrate,
-)
+from windcal.calibration import CalibrationMap, EmpiricalCdf, conditional_calibrate, conditional_map
 from windcal.egpd import EgpdParams, egpd_sample
 from windcal.errors import DomainError
 
@@ -96,13 +90,14 @@ class TestConditionalCalibrate:
         assert conditional_calibrate(10.0, PX, PY) == pytest.approx(COND_ORACLE, abs=1e-12)
 
     def test_clamp_above_source_endpoint(self):
-        value, clamped = conditional_calibrate_flagged(PX.delta + 5.0, PX, PY)
+        value, clamped = conditional_map(PX.delta + 5.0, PX.delta, PX.xi, PX.kappa,
+                                         PY.delta, PY.xi, PY.kappa)
         assert clamped
         assert value == pytest.approx(PY.delta, abs=1e-9)
 
     def test_flag_vector(self):
         x = np.array([1.0, PX.delta + 1.0, 5.0])
-        value, clamped = conditional_calibrate_flagged(x, PX, PY)
+        value, clamped = conditional_map(x, PX.delta, PX.xi, PX.kappa, PY.delta, PY.xi, PY.kappa)
         assert clamped.tolist() == [False, True, False]
         assert value.shape == x.shape
 
@@ -118,22 +113,18 @@ class TestConditionalCalibrate:
 
 
 class TestMarginalCalibrate:
+    """The empirical map passes missing cells through as NaN."""
+
+    CAL = CalibrationMap(source=EmpiricalCdf.from_sample([1.0, 2.0, 4.0, 8.0]),
+                         target=EmpiricalCdf.from_sample([10.0, 20.0, 40.0, 80.0]))
+
     def test_nan_propagates(self):
-        cal = CalibrationMap(source=PX, target=PY)
-        x = np.array([[1.0, np.nan], [10.0, 3.0]])
-        out = marginal_calibrate(x, cal)
+        x = np.array([[1.0, np.nan], [4.0, 3.0]])
+        out = self.CAL(x)
         assert np.isnan(out[0, 1])
-        assert out[1, 0] == pytest.approx(COND_ORACLE, abs=1e-12)
+        assert out[1, 0] == 40.0
+        # the other cells map as they would without the missing one
+        assert np.array_equal(out[~np.isnan(x)], self.CAL(x[~np.isnan(x)]))
 
     def test_all_nan_input(self):
-        cal = CalibrationMap(source=PX, target=PY)
-        out = marginal_calibrate(np.full(3, np.nan), cal)
-        assert np.all(np.isnan(out))
-
-    def test_mixed_laws(self):
-        rng = np.random.default_rng(2)
-        ecdf = EmpiricalCdf.from_sample(egpd_sample(5000, PY, rng))
-        cal = CalibrationMap(source=PX, target=ecdf)
-        out = marginal_calibrate(np.array([2.0, 8.0, 15.0]), cal)
-        assert np.all(np.isfinite(out))
-        assert np.all(np.diff(out) > 0)
+        assert np.all(np.isnan(self.CAL(np.full(3, np.nan))))

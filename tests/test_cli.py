@@ -20,7 +20,7 @@ from windcal.cli import (
     parse_config,
 )
 from windcal.data import load_network, load_panel
-from windcal.draws import SCALAR_NAMES
+from windcal.draws import SCALAR_NAMES, PosteriorDraws
 from windcal.errors import DataValidationError
 
 
@@ -97,6 +97,13 @@ class TestConfigParsing:
                      f"simulated = {dataset}/simulated.csv\n")
         cfg = parse_config(p)
         assert cfg.stations.endswith("stations.csv")
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path, dataset):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "run#1",
+                         iterations="2000  # inline comment", seed="5\t# tab before it")
+        cfg = parse_config(p)
+        assert cfg.output_dir == str(tmp_path / "run#1")
+        assert cfg.iterations == 2000 and cfg.seed == 5
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -411,6 +418,17 @@ class TestHierarchicalPipeline:
         box = read_rows(out / "sigma_boxplot.csv")
         assert [(r["day"], r["panel"]) for r in box] == \
             [(str(j), name) for j in range(4) for name in ("y", "x")]
+
+    def test_scale_boxplot_computed_once_per_run(self, tmp_path, dataset, monkeypatch):
+        calls = []
+        mean_sigma = PosteriorDraws.mean_sigma
+        monkeypatch.setattr(PosteriorDraws, "mean_sigma",
+                            lambda self: calls.append(1) or mean_sigma(self))
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", iterations=10,
+                         burn_in=2, thinning=1, chains=1, figure_days="0,3")
+        assert main(["fit", "--config", str(p)]) == EXIT_OK
+        assert len(calls) == 1
+        assert len(read_rows(tmp_path / "out" / "sigma_boxplot.csv")) == 2 * 4
 
     def test_summarize_subcommand(self, run_dir, tmp_path):
         out = tmp_path / "table.csv"

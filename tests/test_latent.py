@@ -179,6 +179,19 @@ class TestRw1:
         total, _ = integrate.dblquad(dens, -8, 8, -8, 8, epsabs=1e-9)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_log_pseudo_determinant_at_a_year_of_days(self):
+        # K + 11'/n keeps K's nonzero eigenvalues and turns its null one into 1
+        n, tau = 365, 2.5
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(n)
+        z -= z.mean()
+        sign, logdet = np.linalg.slogdet(rw1_structure(n) + np.ones((n, n)) / n)
+        quad = z @ rw1_structure(n) @ z
+        expect = 0.5 * (n - 1) * math.log(tau / (2 * math.pi)) + 0.5 * logdet - 0.5 * tau * quad
+        assert sign == 1.0
+        # slogdet's LU itself is off by ~1e-12 at this size
+        assert rw1_logdensity(z, tau) == pytest.approx(expect, rel=0, abs=1e-10)
+
     def test_single_point_chain(self):
         rng = np.random.default_rng(0)
         assert np.array_equal(sample_rw1_constrained(1, 1.0, rng), [0.0])

@@ -16,6 +16,7 @@ from windcal.predictive import (
     calibrate_field,
     export_figures,
     gaussian_kde_1d,
+    sigma_boxes,
     summarize_posterior,
 )
 
@@ -157,14 +158,18 @@ class TestExportFigures:
         field = calibrate_field(draws, panel.x, net.observed_indices, seed=1)
         y_full = np.full(panel.x.shape, np.nan)
         y_full[net.observed_indices] = panel.y
-        bundle = export_figures(field, y_full, panel.x, draws, net.ids, day=1)
+        bundle = export_figures(field, y_full, panel.x, net.ids, day=1)
         assert bundle.day == 1
         assert bundle.kde_grid.shape == bundle.kde_calibrated.shape
         assert len(bundle.station_ids) == net.n_total
-        assert bundle.sigma_y_box.shape == (panel.n_times, 5)
+
+    def test_sigma_boxes(self):
+        net, panel, draws = small_fit()
+        box_y, box_x = sigma_boxes(draws)
+        assert box_y.shape == box_x.shape == (panel.n_times, 5)
         # five-number summaries are ordered
-        assert np.all(np.diff(bundle.sigma_y_box, axis=1) >= 0)
-        assert np.all(np.diff(bundle.sigma_x_box, axis=1) >= 0)
+        assert np.all(np.diff(box_y, axis=1) >= 0)
+        assert np.all(np.diff(box_x, axis=1) >= 0)
 
     def test_day_out_of_range(self):
         net, panel, draws = small_fit()
@@ -172,7 +177,7 @@ class TestExportFigures:
         y_full = np.full(panel.x.shape, np.nan)
         y_full[net.observed_indices] = panel.y
         with pytest.raises(DomainError):
-            export_figures(field, y_full, panel.x, draws, net.ids, day=99)
+            export_figures(field, y_full, panel.x, net.ids, day=99)
 
 
 class TestDrawsContainer:
