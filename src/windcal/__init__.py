@@ -24,4 +24,4 @@ from .egpd import (
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import StationNetwork, rw1_logdensity, spatial_correlation, spatial_logdensity
 from .model import HierarchicalModel, McmcConfig, ModelState, MwgSampler, PriorSpec, run_mcmc
-from .predictive import CalibratedField, calibrate_field, export_figures, summarize_posterior
+from .predictive import CalibratedField, calibrate_field, day_densities, summarize_posterior

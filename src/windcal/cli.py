@@ -29,6 +29,7 @@ from .data import (
     PanelData,
     SyntheticTruth,
     generate_synthetic,
+    load_field,
     load_network,
     load_panel,
     write_long_csv,
@@ -37,11 +38,11 @@ from .data import (
     write_table,
 )
 from .draws import SCALAR_NAMES, PosteriorDraws, load_draws_npz, save_draws_npz
-from .egpd import EgpdParams, egpd_faults
+from .egpd import egpd_faults
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import CORRELATION_FAMILIES, StationNetwork
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
-from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, export_figures,
+from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, day_densities,
                          sigma_boxes, summarize_posterior)
 
 EXIT_OK = 0
@@ -205,7 +206,7 @@ def _save_draws_npz(path, draws: PosteriorDraws):
 def _point_field(values, clamped) -> CalibratedField:
     """A marginal map's field: one value per cell, no predictive spread."""
     return CalibratedField(values=values, sd=np.zeros_like(values),
-                           clamped=clamped, clamp_fraction=clamped.astype(float))
+                           clamp_fraction=clamped.astype(float))
 
 
 def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
@@ -230,10 +231,8 @@ def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
 
 def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedField:
     # parse_config checked every law the config sets, run() that both are set
-    src, tgt = (EgpdParams(*(getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS))
-                for side in ("source", "target"))
-    return _point_field(*conditional_map(panel.x, src.delta, src.xi, src.kappa,
-                                         tgt.delta, tgt.xi, tgt.kappa))
+    laws = (getattr(cfg, f"{side}_{f}") for side in ("source", "target") for f in _LAW_FIELDS)
+    return _point_field(*conditional_map(panel.x, *laws))
 
 
 def run(cfg: RunConfig) -> int:
@@ -285,20 +284,13 @@ def run(cfg: RunConfig) -> int:
         _write_diagnostics(cfg.output_dir, draws, cfg.iterations)
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
         manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
+        _export_sigma_boxplot(cfg.output_dir, draws)
         for day in cfg.figure_days:
-            _export_day(cfg.output_dir, net, panel, field_, day)
-        if cfg.figure_days:
-            _export_sigma_boxplot(cfg.output_dir, draws)
+            _export_day(cfg.output_dir, net, panel, field_.values, day)
     manifest["wall_time_s"] = time.time() - t_start
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return EXIT_OK
-
-
-def _expand_y(panel: PanelData, net) -> np.ndarray:
-    y_full = np.full(panel.x.shape, np.nan)
-    y_full[net.observed_indices] = panel.y
-    return y_full
 
 
 def _export_sigma_boxplot(outdir, draws: PosteriorDraws):
@@ -311,22 +303,23 @@ def _export_sigma_boxplot(outdir, draws: PosteriorDraws):
                 [[np.repeat(np.arange(n_days), 2), ["y", "x"] * n_days, *boxes.T]])
 
 
-def _export_day(outdir, net, panel, field_, day, svg=False):
-    bundle = export_figures(field_, _expand_y(panel, net), panel.x, net.ids, day)
+def _export_day(outdir, net, panel, values, day, svg=False):
+    """Write one day's density table and per-station table of ``values``."""
+    y_full = np.full(panel.x.shape, np.nan)
+    y_full[net.observed_indices] = panel.y
+    densities = day_densities(values, y_full, panel.x, day)
     prefix = os.path.join(outdir, f"day{day:03d}")
     write_table(prefix + "_kde.csv",
-                ["value", "dens_observed", "dens_simulated", "dens_calibrated"],
-                [[bundle.kde_grid, bundle.kde_observed, bundle.kde_simulated,
-                  bundle.kde_calibrated]])
+                ["value", "dens_observed", "dens_simulated", "dens_calibrated"], [densities])
     # a station with no observation that day gets an empty observed field
-    observed = np.ma.masked_array(bundle.observed, np.isnan(bundle.observed))
+    observed = np.ma.masked_invalid(y_full[:, day])
     write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
-                [[bundle.station_ids, observed, bundle.simulated, bundle.calibrated]])
+                [[net.ids, observed, panel.x[:, day], values[:, day]]])
     if svg:
-        _render_svg(prefix, bundle)
+        _render_svg(prefix, *densities)
 
 
-def _render_svg(prefix, bundle):
+def _render_svg(prefix, grid, *densities):
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -334,9 +327,8 @@ def _render_svg(prefix, bundle):
     except ImportError:
         raise DataValidationError("SVG rendering requires matplotlib")
     fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(bundle.kde_grid, bundle.kde_observed, label="observed")
-    ax.plot(bundle.kde_grid, bundle.kde_simulated, label="simulated")
-    ax.plot(bundle.kde_grid, bundle.kde_calibrated, label="calibrated")
+    for dens, label in zip(densities, ("observed", "simulated", "calibrated")):
+        ax.plot(grid, dens, label=label)
     ax.set_xlabel("value")
     ax.set_ylabel("density")
     ax.legend()
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--out", required=True)
 
     p_fig = sub.add_parser("export-figures", help="figure-ready CSVs for one day")
-    p_fig.add_argument("--run-dir", required=True, help="output dir of a hierarchical run")
+    p_fig.add_argument("--run-dir", required=True, help="output dir of a calibrate or fit run")
     p_fig.add_argument("--day", type=int, required=True)
     p_fig.add_argument("--svg", action="store_true")
     return parser
@@ -390,6 +382,8 @@ def _cmd_simulate(args) -> int:
     n_s, n_obs = args.n_stations, args.n_observed
     if not 1 <= n_obs <= n_s:
         raise DataValidationError("need 1 <= n-observed <= n-stations")
+    if args.n_times < 1:
+        raise DataValidationError("need n-times >= 1")
     coords = rng.uniform(0.0, 300.0, size=(n_s, 2))
     observed = np.zeros(n_s, dtype=bool)
     observed[rng.choice(n_s, size=n_obs, replace=False)] = True
@@ -419,18 +413,17 @@ def _cmd_export_figures(args) -> int:
     manifest_path = os.path.join(args.run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataValidationError(f"no manifest.json in {args.run_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    cfg_dict = manifest["config"]
-    net = load_network(cfg_dict["stations"])
-    panel = load_panel(cfg_dict["observed"], cfg_dict["simulated"], net)
-    draws_path = os.path.join(args.run_dir, "draws.npz")
-    if not os.path.exists(draws_path):
-        raise DataValidationError("export-figures needs a hierarchical run (draws.npz missing)")
-    draws = load_draws_npz(draws_path)
-    field_ = calibrate_field(draws, panel.x, net.observed_indices, seed=cfg_dict["seed"])
-    _export_day(args.run_dir, net, panel, field_, args.day, svg=args.svg)
-    _export_sigma_boxplot(args.run_dir, draws)
+    try:
+        with open(manifest_path) as fh:
+            inputs = json.load(fh)["config"]
+        stations, observed, simulated = (inputs[key] for key in _INPUT_KEYS)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataValidationError(f"{manifest_path}: not a run manifest ({exc!r})") from None
+    net = load_network(stations)
+    panel = load_panel(observed, simulated, net)
+    values = load_field(os.path.join(args.run_dir, "calibrated.csv"), "x_calibrated",
+                        net, panel.dates)
+    _export_day(args.run_dir, net, panel, values, args.day, svg=args.svg)
     return EXIT_OK
 
 

@@ -93,10 +93,10 @@ def load_network(path) -> StationNetwork:
     return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed))
 
 
-def _read_long_panel(path, valid_ids):
-    """Read station_id,date,value rows; returns {(id, date): value} and {date: first line}."""
+def _read_long_panel(path, valid_ids, column="value"):
+    """Read station_id,date,<column> rows; returns {(id, date): value} and {date: first line}."""
     cells, dates = {}, {}
-    for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", "value")):
+    for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", column)):
         if sid not in valid_ids:
             raise DataValidationError(f"{path} line {lineno}: station {sid!r} not in the network")
         try:
@@ -116,6 +116,25 @@ def _read_long_panel(path, valid_ids):
     return cells, dates
 
 
+def _check_dates(path, dates: dict, simulated_dates):
+    """Reject the first of ``dates`` (date -> first line) the simulated panel does not hold."""
+    # dates in order of first appearance: the first stray date is on the first stray row
+    for date, line in dates.items():
+        if date not in simulated_dates:
+            raise DataValidationError(f"{path} line {line}: date {date} outside the "
+                                      "simulated range")
+
+
+def _rectangle(path, what: str, cells: dict, ids, dates) -> np.ndarray:
+    """The (station, date) array of ``cells``; every cell must have a row."""
+    grid = _grid(cells, ids, dates)
+    if np.any(np.isnan(grid)):
+        i, j = np.argwhere(np.isnan(grid))[0]
+        raise DataValidationError(f"{path}: {what} is not a complete station-"
+                                  f"by-date rectangle: no row for station {ids[i]!r} on {dates[j]}")
+    return grid
+
+
 def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     """Load and align the two long-form panel CSVs against the network."""
     obs_ids = [net.ids[i] for i in net.observed_indices]
@@ -124,17 +143,17 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     if not x_cells:
         raise DataValidationError(f"{simulated_path}: no data rows")
     dates = tuple(sorted(x_dates))
-    x = _grid(x_cells, net.ids, dates)
-    if np.any(np.isnan(x)):
-        i, j = np.argwhere(np.isnan(x))[0]
-        raise DataValidationError(f"{simulated_path}: simulated panel is not a complete station-"
-                                  f"by-date rectangle: no row for station {net.ids[i]!r} on {dates[j]}")
-    # dates in order of first appearance: the first stray date is on the first stray row
-    for date, line in y_dates.items():
-        if date not in x_dates:
-            raise DataValidationError(f"{observed_path} line {line}: date {date} outside the "
-                                      "simulated range")
+    x = _rectangle(simulated_path, "simulated panel", x_cells, net.ids, dates)
+    _check_dates(observed_path, y_dates, x_dates)
     return PanelData(y=_grid(y_cells, obs_ids, dates), x=x, dates=dates)
+
+
+def load_field(path, column: str, net: StationNetwork, dates) -> np.ndarray:
+    """One column of a long-form file written on the panel's grid, e.g. a run's
+    calibrated.csv, as a complete (station, date) array."""
+    cells, file_dates = _read_long_panel(path, set(net.ids), column)
+    _check_dates(path, file_dates, set(dates))
+    return _rectangle(path, f"{column} field", cells, net.ids, dates)
 
 
 def _grid(cells: dict, ids, dates) -> np.ndarray:

@@ -24,8 +24,12 @@ class CalibratedField:
 
     values: np.ndarray    # (N_s, T)
     sd: np.ndarray        # (N_s, T) predictive standard deviation
-    clamped: np.ndarray   # (N_s, T) bool, clamped in at least one draw
     clamp_fraction: np.ndarray  # (N_s, T) share of draws that clamped
+
+    @property
+    def clamped(self) -> np.ndarray:
+        """(N_s, T) bool, clamped in at least one draw."""
+        return self.clamp_fraction > 0
 
 
 def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> CalibratedField:
@@ -69,7 +73,6 @@ def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> Calibra
         sq_dev += dev * (xs - mean)
         clamp_count += clamped
     return CalibratedField(values=mean, sd=np.sqrt(sq_dev / nd),
-                           clamped=clamp_count > 0,
                            clamp_fraction=clamp_count / nd)
 
 
@@ -115,21 +118,6 @@ def gaussian_kde_1d(sample, grid):
     return dens, bandwidth
 
 
-@dataclass
-class FigureBundle:
-    """Figure-ready arrays for one day."""
-
-    day: int
-    kde_grid: np.ndarray
-    kde_observed: np.ndarray
-    kde_simulated: np.ndarray
-    kde_calibrated: np.ndarray
-    station_ids: tuple
-    observed: np.ndarray      # (N_s,) NaN where no observation
-    simulated: np.ndarray
-    calibrated: np.ndarray
-
-
 def sigma_boxes(draws: PosteriorDraws) -> tuple:
     """Per-day five-number summaries (min, q1, median, q3, max) of the
     posterior-mean scales over stations: (T, 5) for y, then for x."""
@@ -137,30 +125,18 @@ def sigma_boxes(draws: PosteriorDraws) -> tuple:
                  for sigma in draws.mean_sigma())
 
 
-def export_figures(field: CalibratedField, y_full, x, station_ids, day: int) -> FigureBundle:
-    """Figure-ready data for one day: KDEs and station triplets.
+def day_densities(values, y_full, x, day: int) -> tuple:
+    """KDEs of one day's observed, simulated and calibrated values on a shared grid.
 
-    ``y_full`` is the observed panel expanded to all stations (NaN rows for
-    simulator-only stations).
+    ``values`` is the calibrated panel and ``y_full`` the observed panel
+    expanded to all stations (NaN rows for simulator-only stations).
+    Returns (grid, dens_observed, dens_simulated, dens_calibrated).
     """
-    x = np.asarray(x, dtype=float)
-    y_full = np.asarray(y_full, dtype=float)
-    n_times = x.shape[1]
+    n_times = np.shape(x)[1]
     if not 0 <= day < n_times:
         raise DomainError(f"day {day} outside 0..{n_times - 1}")
-    obs_day = y_full[:, day]
-    sim_day = x[:, day]
-    cal_day = field.values[:, day]
+    obs_day, sim_day, cal_day = (np.asarray(a, dtype=float)[:, day] for a in (y_full, x, values))
     top = max(np.nanmax(obs_day) if np.any(~np.isnan(obs_day)) else 0.0,
               sim_day.max(), cal_day.max())
     grid = np.linspace(0.0, 1.3 * top + 1e-9, KDE_GRID_POINTS)
-    kde_obs, _ = gaussian_kde_1d(obs_day, grid)
-    kde_sim, _ = gaussian_kde_1d(sim_day, grid)
-    kde_cal, _ = gaussian_kde_1d(cal_day, grid)
-
-    return FigureBundle(
-        day=day, kde_grid=grid,
-        kde_observed=kde_obs, kde_simulated=kde_sim, kde_calibrated=kde_cal,
-        station_ids=tuple(station_ids),
-        observed=obs_day, simulated=sim_day, calibrated=cal_day,
-    )
+    return (grid, *(gaussian_kde_1d(sample, grid)[0] for sample in (obs_day, sim_day, cal_day)))

@@ -77,6 +77,12 @@ class TestSimulate:
                      "--n-stations", "3", "--n-observed", "5"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("n_times", ["0", "-1"])
+    def test_bad_day_count(self, tmp_path, capsys, n_times):
+        code = main(["simulate", "--out-dir", str(tmp_path / "z"), "--n-times", n_times])
+        assert code == EXIT_DATA
+        assert "n-times" in capsys.readouterr().err
+
 
 class TestConfigParsing:
     def test_round_trip_values(self, tmp_path, dataset):
@@ -386,10 +392,6 @@ class TestHierarchicalPipeline:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert ("'z'" in err) == (case == "no_z")
-        # export-figures reads the run's draws.npz the same way
-        (out / "draws.npz").write_bytes(bad.read_bytes())
-        assert main(["export-figures", "--run-dir", str(out), "--day", "1"]) == EXIT_DATA
-        assert "draws.npz" in capsys.readouterr().err
 
     def test_full_dump_writes_the_values_behind_it(self, tmp_path, dataset):
         out = tmp_path / "full"
@@ -419,6 +421,12 @@ class TestHierarchicalPipeline:
         assert [(r["day"], r["panel"]) for r in box] == \
             [(str(j), name) for j in range(4) for name in ("y", "x")]
 
+    def test_scale_boxplot_written_without_figure_days(self, saved_draws):
+        out, draws = saved_draws
+        box = read_rows(out / "sigma_boxplot.csv")
+        assert len(box) == 2 * draws.delta_x.shape[2]
+        assert not list(out.glob("day*"))
+
     def test_scale_boxplot_computed_once_per_run(self, tmp_path, dataset, monkeypatch):
         calls = []
         mean_sigma = PosteriorDraws.mean_sigma
@@ -440,6 +448,53 @@ class TestHierarchicalPipeline:
         assert main(["export-figures", "--run-dir", str(run_dir), "--day", "2"]) == EXIT_OK
         assert (run_dir / "day002_kde.csv").exists()
         assert (run_dir / "day002_stations.csv").exists()
+
+    def test_export_figures_matches_the_runs_figure_day(self, run_dir):
+        # the run wrote day 1 from its in-memory field; export-figures reads calibrated.csv
+        names = ("day001_kde.csv", "day001_stations.csv", "sigma_boxplot.csv")
+        written = {name: (run_dir / name).read_bytes() for name in names}
+        for name in names[:2]:
+            (run_dir / name).unlink()
+        (run_dir / "draws.npz").unlink()
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_OK
+        assert {name: (run_dir / name).read_bytes() for name in names} == written
+
+    def test_export_figures_on_a_marginal_run(self, tmp_path, dataset):
+        out = tmp_path / "marginal"
+        p = write_config(tmp_path / "run.cfg", dataset, out, mode="marginal-empirical")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+        assert main(["export-figures", "--run-dir", str(out), "--day", "3"]) == EXIT_OK
+        cal = read_rows(out / "calibrated.csv")
+        day3 = sorted({r["date"] for r in cal})[3]
+        stations = read_rows(out / "day003_stations.csv")
+        assert [(r["station_id"], r["calibrated"]) for r in stations] == \
+            [(r["station_id"], r["x_calibrated"]) for r in cal if r["date"] == day3]
+
+    @pytest.mark.parametrize("case", ["dropped_row", "extra_date"])
+    def test_export_figures_rejects_a_calibrated_csv_off_the_panel(self, run_dir, capsys, case):
+        path = run_dir / "calibrated.csv"
+        lines = path.read_text().splitlines()
+        if case == "dropped_row":
+            del lines[3]
+        else:
+            sid, _, *rest = lines[1].split(",")
+            lines.append(",".join([sid, "2031-01-01", *rest]))
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["truncated", "no_config"])
+    def test_export_figures_rejects_a_bad_manifest(self, run_dir, capsys, case):
+        path = run_dir / "manifest.json"
+        text = path.read_text()
+        if case == "truncated":
+            path.write_text(text[:len(text) // 2])
+        else:
+            manifest = json.loads(text)
+            del manifest["config"]
+            path.write_text(json.dumps(manifest))
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
 
     def test_export_figures_from_another_directory(self, tmp_path, dataset, monkeypatch):
         # the fit reads its inputs through paths relative to where it ran

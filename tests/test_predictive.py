@@ -14,7 +14,7 @@ from windcal.predictive import (
     SUMMARY_COLUMNS,
     SUMMARY_ROW_ORDER,
     calibrate_field,
-    export_figures,
+    day_densities,
     gaussian_kde_1d,
     sigma_boxes,
     summarize_posterior,
@@ -153,15 +153,15 @@ class TestKde:
 
 
 class TestExportFigures:
-    def test_bundle_contents(self):
+    def test_day_densities(self):
         net, panel, draws = small_fit()
         field = calibrate_field(draws, panel.x, net.observed_indices, seed=1)
         y_full = np.full(panel.x.shape, np.nan)
         y_full[net.observed_indices] = panel.y
-        bundle = export_figures(field, y_full, panel.x, net.ids, day=1)
-        assert bundle.day == 1
-        assert bundle.kde_grid.shape == bundle.kde_calibrated.shape
-        assert len(bundle.station_ids) == net.n_total
+        grid, *densities = day_densities(field.values, y_full, panel.x, day=1)
+        assert grid[0] == 0.0 and np.all(np.diff(grid) > 0)
+        for dens, sample in zip(densities, (y_full, panel.x, field.values)):
+            assert np.array_equal(dens, gaussian_kde_1d(sample[:, 1], grid)[0])
 
     def test_sigma_boxes(self):
         net, panel, draws = small_fit()
@@ -176,8 +176,9 @@ class TestExportFigures:
         field = calibrate_field(draws, panel.x, net.observed_indices, seed=1)
         y_full = np.full(panel.x.shape, np.nan)
         y_full[net.observed_indices] = panel.y
-        with pytest.raises(DomainError):
-            export_figures(field, y_full, panel.x, net.ids, day=99)
+        for day in (99, -1):
+            with pytest.raises(DomainError):
+                day_densities(field.values, y_full, panel.x, day=day)
 
 
 class TestDrawsContainer:
