@@ -58,11 +58,8 @@ _LAW_FIELDS = ("delta", "xi", "kappa")
 # a '#' at the start of a line or after whitespace, and the rest of the line
 _COMMENT = re.compile(r"(^|\s)#.*")
 
-# the words each word-valued key accepts, and what they are read as
-_CHOICES = {"mode": {m: m for m in MODES},
-            "correlation_family": {f: f for f in CORRELATION_FAMILIES},
-            "full_dump": {"0": False, "1": True, "true": True, "false": False,
-                          "yes": True, "no": False}}
+# the words each word-valued key accepts
+_CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
 
 
 @dataclass
@@ -78,8 +75,6 @@ class RunConfig:
     thinning: int = 5
     chains: int = 2
     correlation_family: str = "disc"
-    full_dump: bool = False
-    figure_days: tuple = ()
     priors: PriorSpec = field(default_factory=PriorSpec)
     # marginal-parametric source/target laws
     source_delta: float = 0.0
@@ -109,6 +104,7 @@ def parse_config(path) -> RunConfig:
     if not os.path.exists(path):
         raise DataValidationError(f"config file not found: {path}")
     raw = {}  # key -> (value, where it was set)
+    first = {}  # key -> its line in the file
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = _COMMENT.sub("", line, count=1).strip()
@@ -117,6 +113,10 @@ def parse_config(path) -> RunConfig:
             if "=" not in line:
                 raise DataValidationError(f"{path} line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first:
+                raise DataValidationError(
+                    f"{path} line {lineno}: {key} set again (first on line {first[key]})")
+            first[key] = lineno
             raw[key] = (value, f"{path} line {lineno}")
     for key in _PATH_KEYS:
         env = os.environ.get(f"WINDCAL_{key.upper()}")
@@ -129,15 +129,9 @@ def parse_config(path) -> RunConfig:
     for key, (value, where) in raw.items():
         if key not in defaults:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
-        if key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
-            values[key] = _CHOICES[key][value]
-        elif key == "figure_days":
-            values[key] = tuple(_convert(int, v, where, key)
-                                for v in value.split(",") if v.strip())
-        else:
-            values[key] = _convert(type(defaults[key]), value, where, key)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
+        values[key] = _convert(type(defaults[key]), value, where, key)
     prior_keys = [k for k in values if k.startswith("prior_")]
     priors = PriorSpec(**{k.removeprefix("prior_"): values.pop(k) for k in prior_keys})
     cfg = RunConfig(priors=priors, **values)
@@ -167,18 +161,12 @@ def _write_calibrated_csv(path, net, panel: PanelData, field_: CalibratedField):
                     "pred_sd": field_.sd, "clamped": field_.clamped})
 
 
-def _write_posterior_csv(path, draws: PosteriorDraws, full_dump: bool):
-    header = ["draw", "chain", *SCALAR_NAMES, "delta_y_mean", "delta_x_mean"]
-    latent = np.empty((draws.n_draws, 0))
-    if full_dump:
-        header += [f"w_{i}" for i in range(draws.w.shape[1])]
-        header += [f"z_{j}" for j in range(draws.z.shape[1])]
-        latent = np.hstack([draws.w, draws.z])
+def _write_posterior_csv(path, draws: PosteriorDraws):
     means = [np.array([delta.mean() for delta in panel])
              for panel in (draws.delta_y, draws.delta_x)]
-    write_table(path, header,
+    write_table(path, ["draw", "chain", *SCALAR_NAMES, "delta_y_mean", "delta_x_mean"],
                 [[np.arange(draws.n_draws), draws.chain,
-                  *(draws.scalars[name] for name in SCALAR_NAMES), *means, *latent.T]])
+                  *(draws.scalars[name] for name in SCALAR_NAMES), *means]])
 
 
 def _write_summary_csv(path, table: dict):
@@ -242,14 +230,10 @@ def run(cfg: RunConfig) -> int:
         raise DataValidationError(
             "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)
-    panel = load_panel(cfg.observed, cfg.simulated, net)
+    panel = load_panel(cfg.observed, cfg.simulated, net, stations_path=cfg.stations)
     # of the modes only marginal-parametric reads no observation
     if cfg.mode != "marginal-parametric" and np.isnan(panel.y).all():
         raise DataValidationError(f"{cfg.observed}: no data rows")
-    bad_days = [day for day in cfg.figure_days if not 0 <= day < panel.n_times]
-    if bad_days:
-        raise DataValidationError(
-            f"figure_days {bad_days} outside the panel's days 0..{panel.n_times - 1}")
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     draws = None
@@ -277,16 +261,13 @@ def run(cfg: RunConfig) -> int:
         "missing_fraction_per_station": [float(v) for v in panel.missing_fraction()],
     }
     if draws is not None:
-        _write_posterior_csv(os.path.join(cfg.output_dir, "posterior.csv"),
-                             draws, cfg.full_dump)
+        _write_posterior_csv(os.path.join(cfg.output_dir, "posterior.csv"), draws)
         _write_summary_csv(os.path.join(cfg.output_dir, "summary.csv"),
                            summarize_posterior(draws))
         _write_diagnostics(cfg.output_dir, draws, cfg.iterations)
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
         manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
         _export_sigma_boxplot(cfg.output_dir, draws)
-        for day in cfg.figure_days:
-            _export_day(cfg.output_dir, net, panel, field_.values, day)
     manifest["wall_time_s"] = time.time() - t_start
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -303,8 +284,8 @@ def _export_sigma_boxplot(outdir, draws: PosteriorDraws):
                 [[np.repeat(np.arange(n_days), 2), ["y", "x"] * n_days, *boxes.T]])
 
 
-def _export_day(outdir, net, panel, values, day, svg=False):
-    """Write one day's density table and per-station table of ``values``."""
+def _export_day(outdir, net, panel, values, day, plt=None):
+    """Write one day's density and per-station tables of ``values``, and its plot given pyplot."""
     y_full = np.full(panel.x.shape, np.nan)
     y_full[net.observed_indices] = panel.y
     densities = day_densities(values, y_full, panel.x, day)
@@ -315,25 +296,16 @@ def _export_day(outdir, net, panel, values, day, svg=False):
     observed = np.ma.masked_invalid(y_full[:, day])
     write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
                 [[net.ids, observed, panel.x[:, day], values[:, day]]])
-    if svg:
-        _render_svg(prefix, *densities)
-
-
-def _render_svg(prefix, grid, *densities):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise DataValidationError("SVG rendering requires matplotlib")
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for dens, label in zip(densities, ("observed", "simulated", "calibrated")):
-        ax.plot(grid, dens, label=label)
-    ax.set_xlabel("value")
-    ax.set_ylabel("density")
-    ax.legend()
-    fig.savefig(prefix + "_kde.svg")
-    plt.close(fig)
+    if plt is not None:
+        grid, *curves = densities
+        fig, ax = plt.subplots(figsize=(6, 4))
+        for dens, label in zip(curves, ("observed", "simulated", "calibrated")):
+            ax.plot(grid, dens, label=label)
+        ax.set_xlabel("value")
+        ax.set_ylabel("density")
+        ax.legend()
+        fig.savefig(prefix + "_kde.svg")
+        plt.close(fig)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--draws", required=True, help="draws.npz from a fit")
     p_sum.add_argument("--out", required=True)
 
-    p_fig = sub.add_parser("export-figures", help="figure-ready CSVs for one day")
+    p_fig = sub.add_parser("export-figures", help="figure-ready CSVs for one or more days")
     p_fig.add_argument("--run-dir", required=True, help="output dir of a calibrate or fit run")
-    p_fig.add_argument("--day", type=int, required=True)
+    p_fig.add_argument("--day", type=int, nargs="+", required=True)
     p_fig.add_argument("--svg", action="store_true")
     return parser
 
@@ -410,6 +382,14 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_export_figures(args) -> int:
+    plt = None
+    if args.svg:  # before any file is written
+        try:
+            import matplotlib
+            matplotlib.use("Agg")
+            import matplotlib.pyplot as plt
+        except ImportError:
+            raise DataValidationError("SVG rendering requires matplotlib") from None
     manifest_path = os.path.join(args.run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataValidationError(f"no manifest.json in {args.run_dir}")
@@ -420,10 +400,14 @@ def _cmd_export_figures(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataValidationError(f"{manifest_path}: not a run manifest ({exc!r})") from None
     net = load_network(stations)
-    panel = load_panel(observed, simulated, net)
+    panel = load_panel(observed, simulated, net, stations_path=stations)
+    bad_days = " ".join(str(day) for day in args.day if not 0 <= day < panel.n_times)
+    if bad_days:
+        raise DataValidationError(f"--day {bad_days} outside the days 0..{panel.n_times - 1}")
     values = load_field(os.path.join(args.run_dir, "calibrated.csv"), "x_calibrated",
                         net, panel.dates)
-    _export_day(args.run_dir, net, panel, values, args.day, svg=args.svg)
+    for day in args.day:
+        _export_day(args.run_dir, net, panel, values, day, plt)
     return EXIT_OK
 
 

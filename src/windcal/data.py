@@ -93,14 +93,25 @@ def load_network(path) -> StationNetwork:
     return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed))
 
 
-def _read_long_panel(path, valid_ids, column="value"):
-    """Read station_id,date,<column> rows; returns {(id, date): value} and {date: first line}."""
+def _is_date(text: str) -> bool:
+    """Whether ``text`` is a date written YYYY-MM-DD, the form that sorts as text."""
+    try:
+        return dt.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
+def _read_long_panel(path, ids: dict, column="value"):
+    """Read station_id,date,<column> rows; returns {(id, date): value} and {date: first line}.
+    ``ids`` maps each station id the file may use to None, any other network id to why not."""
     cells, dates = {}, {}
     for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", column)):
-        if sid not in valid_ids:
-            raise DataValidationError(f"{path} line {lineno}: station {sid!r} not in the network")
+        if refused := ids.get(sid, "not in the network"):
+            raise DataValidationError(f"{path} line {lineno}: station {sid!r} {refused}")
+        if date not in dates and not _is_date(date):  # each date is checked on its first row
+            raise DataValidationError(
+                f"{path} line {lineno}: date {date!r} is not a YYYY-MM-DD date")
         try:
-            dt.date.fromisoformat(date)
             val = float(value)
         except ValueError as exc:
             raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
@@ -135,11 +146,14 @@ def _rectangle(path, what: str, cells: dict, ids, dates) -> np.ndarray:
     return grid
 
 
-def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
-    """Load and align the two long-form panel CSVs against the network."""
+def load_panel(observed_path, simulated_path, net: StationNetwork,
+               stations_path="the stations file") -> PanelData:
+    """Load and align the two long-form panel CSVs against the network read from stations_path."""
     obs_ids = [net.ids[i] for i in net.observed_indices]
-    y_cells, y_dates = _read_long_panel(observed_path, set(obs_ids))
-    x_cells, x_dates = _read_long_panel(simulated_path, set(net.ids))
+    y_cells, y_dates = _read_long_panel(observed_path, {
+        sid: None if flag else f"is not an observed station in {stations_path}"
+        for sid, flag in zip(net.ids, net.observed)})
+    x_cells, x_dates = _read_long_panel(simulated_path, dict.fromkeys(net.ids))
     if not x_cells:
         raise DataValidationError(f"{simulated_path}: no data rows")
     dates = tuple(sorted(x_dates))
@@ -151,7 +165,7 @@ def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
 def load_field(path, column: str, net: StationNetwork, dates) -> np.ndarray:
     """One column of a long-form file written on the panel's grid, e.g. a run's
     calibrated.csv, as a complete (station, date) array."""
-    cells, file_dates = _read_long_panel(path, set(net.ids), column)
+    cells, file_dates = _read_long_panel(path, dict.fromkeys(net.ids), column)
     _check_dates(path, file_dates, set(dates))
     return _rectangle(path, f"{column} field", cells, net.ids, dates)
 

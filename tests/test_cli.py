@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,9 +20,10 @@ from windcal.cli import (
     main,
     parse_config,
 )
-from windcal.data import load_network, load_panel
+from windcal.data import load_field, load_network, load_panel
 from windcal.draws import SCALAR_NAMES, PosteriorDraws
 from windcal.errors import DataValidationError
+from windcal.predictive import day_densities
 
 
 @pytest.fixture()
@@ -88,11 +90,9 @@ class TestConfigParsing:
     def test_round_trip_values(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="hierarchical", iterations=50, burn_in=10,
-                         thinning=2, chains=1, seed=5, full_dump=1,
-                         figure_days="0,2", prior_kappa_shape=2.0)
+                         thinning=2, chains=1, seed=5, prior_kappa_shape=2.0)
         cfg = parse_config(p)
-        assert cfg.iterations == 50 and cfg.chains == 1 and cfg.full_dump
-        assert cfg.figure_days == (0, 2)
+        assert cfg.iterations == 50 and cfg.chains == 1
         assert cfg.priors.kappa_shape == 2.0
         assert cfg.priors.kappa_rate == 0.05  # untouched default
 
@@ -122,6 +122,15 @@ class TestConfigParsing:
         monkeypatch.setenv("WINDCAL_OUTPUT_DIR", str(tmp_path / "elsewhere"))
         cfg = parse_config(p)
         assert cfg.output_dir == str(tmp_path / "elsewhere")
+
+    def test_key_set_twice(self, tmp_path, dataset):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         iterations=10, seed=1)
+        p.write_text(p.read_text() + "iterations = 0\n")
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(str(p))} line 7: iterations set again "
+                           r"\(first on line 5\)$"):
+            parse_config(p)
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(DataValidationError, match="not found"):
@@ -166,8 +175,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, literal", [
         ("iterations", "abc"), ("prior_tau_rate", "x"), ("prior_tau_rate", "-1"),
         ("prior_tau_rate", "nan"), ("prior_beta_precision", "0"), ("prior_kappa_shape", "0"),
-        ("prior_xi_high", "0.3"), ("prior_alpha_low", "-0.2"), ("full_dump", "2"),
-        ("full_dump", "ture"), ("mode", "bogus"), ("correlation_family", "foo"),
+        ("prior_xi_high", "0.3"), ("prior_alpha_low", "-0.2"),
+        ("mode", "bogus"), ("correlation_family", "foo"),
         ("seed", "-3"), ("thinning", "0"), ("chains", "0"), ("iterations", "0"),
         ("burn_in", "5000"), ("iterations", "-5")])
     def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
@@ -177,13 +186,38 @@ class TestExitCodes:
         assert f"run.cfg line 5: {key} = {literal!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_figure_day_outside_panel_fails_before_fit(self, tmp_path, dataset):
-        out = tmp_path / "out"
-        p = write_config(tmp_path / "run.cfg", dataset, out, mode="hierarchical",
-                         iterations=10, burn_in=2, thinning=1, chains=1,
-                         figure_days="1,99")
+    @pytest.mark.parametrize("key, literal", [("figure_days", "0"), ("full_dump", "1")])
+    def test_removed_key_rejected_with_line(self, tmp_path, dataset, capsys, key, literal):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})
+        assert main(["fit", "--config", str(p)]) == EXIT_DATA
+        assert f"run.cfg line 5: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spelling", ["20130102", "2013-W01-3"])
+    def test_date_not_in_canonical_form_rejected_with_line(self, tmp_path, dataset, capsys,
+                                                           spelling):
+        # both spellings name 2013-01-02, which would sort after every other date
+        path = dataset / "simulated.csv"
+        text = path.read_text()
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if "2013-01-02" in row)
+        path.write_text(text.replace("2013-01-02", spelling, 1))
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-empirical")
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
-        assert not (out / "calibrated.csv").exists()
+        assert f"{path} line {line}: date {spelling!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unobserved_station_in_observed_panel(self, tmp_path, dataset, capsys):
+        net = load_network(dataset / "stations.csv")
+        sid = next(s for s, flag in zip(net.ids, net.observed) if not flag)
+        path = dataset / "observed.csv"
+        path.write_text(path.read_text() + f"{sid},2013-01-01,1.0\n")
+        line = len(path.read_text().splitlines())
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-empirical")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert (f"{path} line {line}: station {sid!r} is not an observed station in "
+                f"{dataset}/stations.csv") in capsys.readouterr().err
 
 
 class TestStartState:
@@ -291,16 +325,14 @@ class TestHierarchicalPipeline:
         out = tmp_path / "out"
         p = write_config(tmp_path / "run.cfg", dataset, out,
                          mode="hierarchical", iterations=30, burn_in=10,
-                         thinning=2, chains=2, seed=3, figure_days="1")
+                         thinning=2, chains=2, seed=3)
         assert main(["fit", "--config", str(p)]) == EXIT_OK
         return out
 
     def test_outputs_exist(self, run_dir):
-        for name in ("calibrated.csv", "posterior.csv", "summary.csv",
-                      "acceptance.csv", "logposterior.csv", "draws.npz",
-                      "manifest.json", "day001_kde.csv", "day001_stations.csv",
-                      "sigma_boxplot.csv"):
-            assert (run_dir / name).exists(), name
+        names = {"calibrated.csv", "posterior.csv", "summary.csv", "acceptance.csv",
+                 "logposterior.csv", "draws.npz", "manifest.json", "sigma_boxplot.csv"}
+        assert {path.name for path in run_dir.iterdir()} == names
 
     def test_posterior_csv_contents(self, run_dir):
         rows = read_rows(run_dir / "posterior.csv")
@@ -393,31 +425,23 @@ class TestHierarchicalPipeline:
         assert str(bad) in err
         assert ("'z'" in err) == (case == "no_z")
 
-    def test_full_dump_writes_the_values_behind_it(self, tmp_path, dataset):
-        out = tmp_path / "full"
-        p = write_config(tmp_path / "full.cfg", dataset, out, iterations=30, burn_in=10,
-                         thinning=2, chains=2, seed=3, full_dump=1, figure_days="0,3")
-        assert main(["fit", "--config", str(p)]) == EXIT_OK
-        draws = load_draws_npz(out / "draws.npz")
-        rows = read_rows(out / "posterior.csv")
-        w_cols = [f"w_{i}" for i in range(5)]
-        z_cols = [f"z_{j}" for j in range(4)]
-        assert list(rows[0])[-9:] == w_cols + z_cols
+    def test_run_writes_the_values_behind_it(self, run_dir, dataset):
+        draws = load_draws_npz(run_dir / "draws.npz")
+        rows = read_rows(run_dir / "posterior.csv")
+        assert list(rows[0]) == ["draw", "chain", *SCALAR_NAMES, "delta_y_mean", "delta_x_mean"]
         assert len(rows) == draws.n_draws
         for d, row in enumerate(rows):
             assert int(row["chain"]) == draws.chain[d]
             assert [float(row[name]) for name in SCALAR_NAMES] == \
                 [draws.scalars[name][d] for name in SCALAR_NAMES]
-            assert [float(row[c]) for c in w_cols] == draws.w[d].tolist()
-            assert [float(row[c]) for c in z_cols] == draws.z[d].tolist()
         net = load_network(dataset / "stations.csv")
         panel = load_panel(dataset / "observed.csv", dataset / "simulated.csv", net)
-        cal = read_rows(out / "calibrated.csv")
+        cal = read_rows(run_dir / "calibrated.csv")
         assert [(r["station_id"], r["date"]) for r in cal] == \
             [(sid, date) for sid in net.ids for date in panel.dates]
         assert [float(r["x_sim"]) for r in cal] == panel.x.ravel().tolist()
         assert {r["clamped"] for r in cal} <= {"0", "1"}
-        box = read_rows(out / "sigma_boxplot.csv")
+        box = read_rows(run_dir / "sigma_boxplot.csv")
         assert [(r["day"], r["panel"]) for r in box] == \
             [(str(j), name) for j in range(4) for name in ("y", "x")]
 
@@ -432,11 +456,13 @@ class TestHierarchicalPipeline:
         mean_sigma = PosteriorDraws.mean_sigma
         monkeypatch.setattr(PosteriorDraws, "mean_sigma",
                             lambda self: calls.append(1) or mean_sigma(self))
-        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", iterations=10,
-                         burn_in=2, thinning=1, chains=1, figure_days="0,3")
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", dataset, out, iterations=10,
+                         burn_in=2, thinning=1, chains=1)
         assert main(["fit", "--config", str(p)]) == EXIT_OK
+        assert main(["export-figures", "--run-dir", str(out), "--day", "0", "3"]) == EXIT_OK
         assert len(calls) == 1
-        assert len(read_rows(tmp_path / "out" / "sigma_boxplot.csv")) == 2 * 4
+        assert len(read_rows(out / "sigma_boxplot.csv")) == 2 * 4
 
     def test_summarize_subcommand(self, run_dir, tmp_path):
         out = tmp_path / "table.csv"
@@ -449,15 +475,44 @@ class TestHierarchicalPipeline:
         assert (run_dir / "day002_kde.csv").exists()
         assert (run_dir / "day002_stations.csv").exists()
 
-    def test_export_figures_matches_the_runs_figure_day(self, run_dir):
-        # the run wrote day 1 from its in-memory field; export-figures reads calibrated.csv
-        names = ("day001_kde.csv", "day001_stations.csv", "sigma_boxplot.csv")
-        written = {name: (run_dir / name).read_bytes() for name in names}
-        for name in names[:2]:
-            (run_dir / name).unlink()
+    def test_export_figures_writes_several_days(self, run_dir):
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "0", "3"]) == EXIT_OK
+        assert sorted(path.name for path in run_dir.glob("day*")) == [
+            "day000_kde.csv", "day000_stations.csv", "day003_kde.csv", "day003_stations.csv"]
+
+    def test_export_figures_day_outside_panel_writes_nothing(self, run_dir, capsys):
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "0", "99"]) \
+            == EXIT_DATA
+        assert "--day 99 outside the days 0..3" in capsys.readouterr().err
+        assert not list(run_dir.glob("day*"))
+
+    def test_export_figures_matches_the_runs_figure_day(self, run_dir, dataset):
+        # the day's tables are day_densities and the day's column of the run's
+        # calibrated.csv, with no draws.npz read
         (run_dir / "draws.npz").unlink()
         assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_OK
-        assert {name: (run_dir / name).read_bytes() for name in names} == written
+        net = load_network(dataset / "stations.csv")
+        panel = load_panel(dataset / "observed.csv", dataset / "simulated.csv", net)
+        values = load_field(run_dir / "calibrated.csv", "x_calibrated", net, panel.dates)
+        y_full = np.full(panel.x.shape, np.nan)
+        y_full[net.observed_indices] = panel.y
+        grid, *densities = day_densities(values, y_full, panel.x, 1)
+        kde = read_rows(run_dir / "day001_kde.csv")
+        assert list(kde[0]) == ["value", "dens_observed", "dens_simulated", "dens_calibrated"]
+        assert [[float(r[c]) for r in kde] for c in kde[0]] == \
+            [grid.tolist(), *(d.tolist() for d in densities)]
+        stations = read_rows(run_dir / "day001_stations.csv")
+        assert [(r["station_id"], float(r["simulated"]), float(r["calibrated"]))
+                for r in stations] == list(zip(net.ids, panel.x[:, 1], values[:, 1]))
+        assert [r["observed"] and float(r["observed"]) for r in stations] == \
+            [v if v == v else "" for v in y_full[:, 1]]
+
+    def test_export_figures_svg_needs_matplotlib_first(self, run_dir, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1", "--svg"]) \
+            == EXIT_DATA
+        assert "requires matplotlib" in capsys.readouterr().err
+        assert not list(run_dir.glob("day*"))
 
     def test_export_figures_on_a_marginal_run(self, tmp_path, dataset):
         out = tmp_path / "marginal"

@@ -237,7 +237,8 @@ class TestLoadValidation:
                           "station_id,date,value\nzz,2013-01-01,1.0\n")
         sim = self._write(tmp_path / "x.csv",
                           "station_id,date,value\na,2013-01-01,1.0\nb,2013-01-01,1.0\n")
-        with pytest.raises(DataValidationError, match="zz"):
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(obs))} line 2: "
+                           "station 'zz' not in the network$"):
             load_panel(obs, sim, net)
 
     def test_duplicate_cell(self, tmp_path):
