@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .data import (
     write_table,
 )
 from .draws import SCALAR_NAMES, PosteriorDraws, load_draws_npz, save_draws_npz
-from .egpd import egpd_faults
+from .egpd import EgpdParams, egpd_faults
 from .errors import DataValidationError, DomainError, NumericalError, WindcalError
 from .latent import CORRELATION_FAMILIES, StationNetwork
 from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
@@ -54,12 +55,16 @@ MODES = ("marginal-empirical", "marginal-parametric", "hierarchical")
 
 _INPUT_KEYS = ("stations", "observed", "simulated")
 _PATH_KEYS = (*_INPUT_KEYS, "output_dir")
-_LAW_FIELDS = ("delta", "xi", "kappa")
 # a '#' at the start of a line or after whitespace, and the rest of the line
 _COMMENT = re.compile(r"(^|\s)#.*")
 
 # the words each word-valued key accepts
 _CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
+
+# RunConfig fields built from prefixed keys: (record, key prefix, the record's faults function)
+_RECORDS = {"priors": (PriorSpec, "prior_", prior_faults),
+            "source": (EgpdParams, "source_", egpd_faults),
+            "target": (EgpdParams, "target_", egpd_faults)}
 
 
 @dataclass
@@ -76,13 +81,8 @@ class RunConfig:
     chains: int = 2
     correlation_family: str = "disc"
     priors: PriorSpec = field(default_factory=PriorSpec)
-    # marginal-parametric source/target laws
-    source_delta: float = 0.0
-    source_xi: float = -0.1
-    source_kappa: float = 1.0
-    target_delta: float = 0.0
-    target_xi: float = -0.1
-    target_kappa: float = 1.0
+    source: EgpdParams | None = None  # the marginal-parametric mode's two laws
+    target: EgpdParams | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -91,13 +91,6 @@ class RunConfig:
 
 def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
     return DataValidationError(f"{where}: {key} = {text!r} {rule}")
-
-
-def _convert(kind, text: str, where: str, key: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise _bad(where, key, text, f"is not a valid {kind.__name__}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -119,30 +112,37 @@ def parse_config(path) -> RunConfig:
             first[key] = lineno
             raw[key] = (value, f"{path} line {lineno}")
     for key in _PATH_KEYS:
-        env = os.environ.get(f"WINDCAL_{key.upper()}")
-        if env:
+        if env := os.environ.get(f"WINDCAL_{key.upper()}"):
             raw[key] = (env, f"WINDCAL_{key.upper()}")
-    # each key is read with the type of its field's default
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "priors"}
-    defaults.update((f"prior_{f.name}", f.default) for f in dataclasses.fields(PriorSpec))
+    # each key is read with the type of its field's default; a record's fields are floats
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)
+             if f.name not in _RECORDS}
+    kinds.update((prefix + f.name, float) for record, prefix, _ in _RECORDS.values()
+                 for f in dataclasses.fields(record))
     values = {}
     for key, (value, where) in raw.items():
-        if key not in defaults:
+        if key not in kinds:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
-        values[key] = _convert(type(defaults[key]), value, where, key)
-    prior_keys = [k for k in values if k.startswith("prior_")]
-    priors = PriorSpec(**{k.removeprefix("prior_"): values.pop(k) for k in prior_keys})
-    cfg = RunConfig(priors=priors, **values)
-    faults = [([f"prior_{f}" for f in fields], rule) for fields, rule in prior_faults(priors)]
+        try:
+            values[key] = kinds[key](value)
+        except ValueError:
+            raise _bad(where, key, value, f"is not a valid {kinds[key].__name__}") from None
+    faults = []
+    for name, (record, prefix, record_faults) in _RECORDS.items():
+        fields = {f.name: values.pop(prefix + f.name, f.default) for f in dataclasses.fields(record)}
+        # a field with no default needs its key: a law takes all of its keys or none
+        missing = [prefix + f for f, value in fields.items() if value is dataclasses.MISSING]
+        if len(missing) == len(fields):
+            continue
+        found = ([(tuple(fields), f"needs {' and '.join(missing)} set too")] if missing
+                 else record_faults(SimpleNamespace(**fields)))
+        faults += [([prefix + f for f in names], rule) for names, rule in found]
+        if not found:
+            values[name] = record(**fields)
+    cfg = RunConfig(**values)
     faults += mcmc_faults(cfg)
-    for side in ("source", "target"):
-        law = (getattr(cfg, f"{side}_{f}") for f in _LAW_FIELDS)
-        faults += [([f"{side}_{f}" for f in fields], rule) for fields, rule in egpd_faults(*law)]
-    # of the defaults only a law's delta breaks a rule: 0 stands for unset,
-    # and run() reports it where the mode reads the law
-    faults = [(keys, rule) for keys, rule in faults if any(k in raw for k in keys)]
     if faults:
         keys, rule = faults[0]
         # name the last of the rule's keys the file sets
@@ -218,15 +218,15 @@ def _marginal_empirical_field(panel: PanelData, net) -> CalibratedField:
 
 
 def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedField:
-    # parse_config checked every law the config sets, run() that both are set
-    laws = (getattr(cfg, f"{side}_{f}") for side in ("source", "target") for f in _LAW_FIELDS)
+    # each law's fields in conditional_map's order: delta, xi, kappa
+    laws = (*dataclasses.astuple(cfg.source), *dataclasses.astuple(cfg.target))
     return _point_field(*conditional_map(panel.x, *laws))
 
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured pipeline: ingest -> fit/calibrate -> export."""
     t_start = time.time()
-    if cfg.mode == "marginal-parametric" and min(cfg.source_delta, cfg.target_delta) <= 0:
+    if cfg.mode == "marginal-parametric" and None in (cfg.source, cfg.target):
         raise DataValidationError(
             "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)

@@ -44,11 +44,14 @@ class GpdParams:
         return math.inf
 
 
-def egpd_faults(delta, xi, kappa) -> list:
-    """The rules an endpoint-form law breaks, each as (the fields it names, the rule)."""
-    rules = [(("delta",), "must be finite and > 0", 0.0 < delta < math.inf),
-             (("xi",), "must be finite and < 0 (endpoint form)", -math.inf < xi < 0.0),
-             (("kappa",), "must be finite and > 0", 0.0 < kappa < math.inf)]
+def egpd_faults(p) -> list:
+    """The rules the law ``p`` breaks, each as (the fields it names, the rule).
+
+    ``p`` is anything with EgpdParams' fields.
+    """
+    rules = [(("delta",), "must be finite and > 0", 0.0 < p.delta < math.inf),
+             (("xi",), "must be finite and < 0 (endpoint form)", -math.inf < p.xi < 0.0),
+             (("kappa",), "must be finite and > 0", 0.0 < p.kappa < math.inf)]
     return [(fields, rule) for fields, rule, ok in rules if not ok]
 
 
@@ -61,7 +64,7 @@ class EgpdParams:
     kappa: float
 
     def __post_init__(self):
-        faults = egpd_faults(self.delta, self.xi, self.kappa)
+        faults = egpd_faults(self)
         if faults:
             (name,), rule = faults[0]
             raise DomainError(f"{name} {rule}, got {getattr(self, name)}")

@@ -111,11 +111,12 @@ def _log_jac_box(t, lo, hi):
         math.log(hi - lo) + t - 2.0 * math.log1p(math.exp(t))
 
 
-def prior_faults(p: PriorSpec) -> list:
-    """The rules the hyperparameters break, each as (the fields it names, the rule).
+def prior_faults(p) -> list:
+    """The rules the hyperparameters ``p`` break, each as (the fields it names, the rule).
 
-    Each box lies inside the range its scalar may take: xi < 0 for the
-    endpoint form, alpha > 0 for a correlation range.
+    ``p`` is anything with PriorSpec's fields.  Each box lies inside the
+    range its scalar may take: xi < 0 for the endpoint form, alpha > 0 for a
+    correlation range.
     """
     rules = [((f,), "must be finite and > 0", 0.0 < getattr(p, f) < math.inf)
              for f in ("beta_precision", "kappa_shape", "kappa_rate", "tau_shape", "tau_rate")]

@@ -318,6 +318,34 @@ class TestMarginalModes:
         vals = [float(r["x_calibrated"]) for r in rows]
         assert all(0.0 <= v <= 55.0 for v in vals)
 
+    @pytest.mark.parametrize("command, laws, line, missing", [
+        # a law has no default field: one or two of its keys do not make it
+        ("calibrate", {"source_delta": 60, "target_delta": 55}, 6,
+         "source_delta = '60' needs source_xi and source_kappa set too"),
+        ("calibrate", {**LAWS, "target_delta": None}, 10,
+         "target_kappa = '5.0' needs target_delta set too"),
+        ("fit", {"target_xi": -0.07}, 6, "target_xi = '-0.07' needs target_delta and "
+                                         "target_kappa set too")],
+        ids=["deltas-only", "two-keys", "fit"])
+    def test_partial_law_rejected_with_line(self, tmp_path, dataset, capsys, command, laws,
+                                            line, missing):
+        laws = {key: value for key, value in laws.items() if value is not None}
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="marginal-parametric", **laws)
+        assert main([command, "--config", str(p)]) == EXIT_DATA
+        assert f"run.cfg line {line}: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_echoes_both_laws(self, tmp_path, dataset):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", dataset, out,
+                         mode="marginal-parametric", **self.LAWS)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["source"] == {"delta": 60.0, "xi": -0.08, "kappa": 18.0}
+        assert config["target"] == {"delta": 55.0, "xi": -0.07, "kappa": 5.0}
+        assert not any(key.startswith(("source_", "target_")) for key in config)
+
 
 class TestHierarchicalPipeline:
     @pytest.fixture()
@@ -355,6 +383,8 @@ class TestHierarchicalPipeline:
         assert manifest["config"]["iterations"] == 30
         assert "windcal" in manifest["versions"]
         assert "acceptance" in manifest and "wall_time_s" in manifest
+        # a mode that reads no law echoes none
+        assert manifest["config"]["source"] is None and manifest["config"]["target"] is None
 
     @pytest.fixture()
     def saved_draws(self, tmp_path, dataset, monkeypatch):
