@@ -131,7 +131,8 @@ def parse_config(path) -> RunConfig:
             raise _bad(where, key, value, f"is not a valid {kinds[key].__name__}") from None
     faults = []
     for name, (record, prefix, record_faults) in _RECORDS.items():
-        fields = {f.name: values.pop(prefix + f.name, f.default) for f in dataclasses.fields(record)}
+        fields = {f.name: values.pop(prefix + f.name, f.default)
+                  for f in dataclasses.fields(record)}
         # a field with no default needs its key: a law takes all of its keys or none
         missing = [prefix + f for f, value in fields.items() if value is dataclasses.MISSING]
         if len(missing) == len(fields):
@@ -234,6 +235,10 @@ def run(cfg: RunConfig) -> int:
     # of the modes only marginal-parametric reads no observation
     if cfg.mode != "marginal-parametric" and np.isnan(panel.y).all():
         raise DataValidationError(f"{cfg.observed}: no data rows")
+    if cfg.mode == "hierarchical":
+        model = HierarchicalModel(panel.y, panel.x, net, priors=cfg.priors,
+                                  correlation_family=cfg.correlation_family, dates=panel.dates)
+        model.initialize_state()  # inputs a chain cannot start from fail before output_dir exists
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     draws = None
@@ -242,8 +247,6 @@ def run(cfg: RunConfig) -> int:
     elif cfg.mode == "marginal-parametric":
         field_ = _marginal_parametric_field(panel, cfg)
     else:
-        model = HierarchicalModel(panel.y, panel.x, net, priors=cfg.priors,
-                                  correlation_family=cfg.correlation_family)
         mcfg = McmcConfig(iterations=cfg.iterations, burn_in=cfg.burn_in,
                           thinning=cfg.thinning, chains=cfg.chains, seed=cfg.seed)
         draws = run_mcmc(model, mcfg)
@@ -350,12 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC0FFEE)))
     n_s, n_obs = args.n_stations, args.n_observed
     if not 1 <= n_obs <= n_s:
         raise DataValidationError("need 1 <= n-observed <= n-stations")
     if args.n_times < 1:
         raise DataValidationError("need n-times >= 1")
+    if args.seed < 0:
+        raise DataValidationError("need seed >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC0FFEE)))
     coords = rng.uniform(0.0, 300.0, size=(n_s, 2))
     observed = np.zeros(n_s, dtype=bool)
     observed[rng.choice(n_s, size=n_obs, replace=False)] = True

@@ -173,12 +173,10 @@ def egpd_draw(rng, delta, xi, kappa):
 
 
 def egpd_sample(n: int, p: EgpdParams, rng) -> np.ndarray:
-    """n i.i.d. draws via inverse-CDF sampling.
+    """n i.i.d. draws of the law ``p`` through egpd_draw.
 
     ``rng`` is a numpy Generator or a seed acceptable to default_rng.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    u = rng.uniform(size=n)
-    return np.asarray(egpd_quantile(u, p))
+    return egpd_draw(np.random.default_rng(rng), np.full(n, p.delta), p.xi, p.kappa)

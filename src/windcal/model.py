@@ -256,11 +256,12 @@ class HierarchicalModel:
 
     Shifts of the endpoint priors default to the respective panel maxima;
     they can be fixed explicitly, which the simulation-based tests rely on.
+    ``dates`` names the days in messages; without it a day is its index.
     """
 
     def __init__(self, y, x, net: StationNetwork, priors: PriorSpec = PriorSpec(),
                  correlation_family: str = "disc",
-                 shift_y: float | None = None, shift_x: float | None = None):
+                 shift_y: float | None = None, shift_x: float | None = None, dates=None):
         y = np.asarray(y, dtype=float)
         x = np.asarray(x, dtype=float)
         if x.shape[0] != net.n_total:
@@ -271,8 +272,15 @@ class HierarchicalModel:
             raise DataValidationError("panels must share the time axis")
         if np.any(np.isnan(x)):
             raise DataValidationError("simulated panel must be complete")
-        if np.any(y[~np.isnan(y)] < 0) or np.min(x) < 0:
-            raise DataValidationError("panel values must be nonnegative")
+        # every value must lie in the EGPD support (0, delta)
+        for name, panel, rows in (("observed", y, net.observed_indices),
+                                  ("simulated", x, range(net.n_total))):
+            if (cells := np.argwhere(panel <= 0)).size:
+                i, j = cells[0]
+                day = dates[j] if dates is not None else f"day {j}"
+                raise DataValidationError(
+                    f"{name} panel: station {net.ids[rows[i]]!r} on {day} has value "
+                    f"{float(panel[i, j])!r}; the hierarchical model needs values > 0")
         if np.all(np.isnan(y)):
             raise DataValidationError("observed panel has no data")
 

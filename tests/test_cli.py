@@ -86,6 +86,13 @@ class TestSimulate:
         assert "n-times" in capsys.readouterr().err
 
 
+    def test_negative_seed(self, tmp_path, capsys):
+        code = main(["simulate", "--out-dir", str(tmp_path / "z"), "--seed", "-1"])
+        assert code == EXIT_DATA
+        assert "need seed >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
+
 class TestConfigParsing:
     def test_round_trip_values(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
@@ -345,6 +352,71 @@ class TestMarginalModes:
         assert config["source"] == {"delta": 60.0, "xi": -0.08, "kappa": 18.0}
         assert config["target"] == {"delta": 55.0, "xi": -0.07, "kappa": 5.0}
         assert not any(key.startswith(("source_", "target_")) for key in config)
+
+
+class TestInputsAFitCannotUse:
+    """A fit that fails on its inputs exits 2 before it creates output_dir."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        d = tmp_path / "data"
+        assert main(["simulate", "--out-dir", str(d), "--n-stations", "6", "--n-observed", "4",
+                     "--n-times", "5", "--seed", "1"]) == EXIT_OK
+        return d
+
+    @staticmethod
+    def set_value(path, line, value):
+        """Give the row on ``line`` of a panel file ``value``; return its station and date."""
+        lines = path.read_text().splitlines()
+        sid, date, _ = lines[line - 1].split(",")
+        lines[line - 1] = f"{sid},{date},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        return sid, date
+
+    def fit(self, tmp_path, data, **extra):
+        p = write_config(tmp_path / "run.cfg", data, tmp_path / "out", iterations=20, burn_in=5,
+                         thinning=1, **extra)
+        return main(["fit", "--config", str(p)])
+
+    @pytest.mark.parametrize("panel, value", [("observed", "0"), ("simulated", "0.0")])
+    def test_zero_value_names_its_station_and_date(self, tmp_path, data, capsys, panel, value):
+        # a calm day: the panel schema takes values >= 0, the EGPD support is (0, delta)
+        sid, date = self.set_value(data / f"{panel}.csv", 3, value)
+        assert self.fit(tmp_path, data) == EXIT_DATA
+        assert (f"{panel} panel: station {sid!r} on {date} has value 0.0; the hierarchical "
+                "model needs values > 0") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, laws", [("marginal-empirical", {}),
+                                            ("marginal-parametric", TestMarginalModes.LAWS)])
+    def test_marginal_modes_take_zero_values(self, tmp_path, data, mode, laws):
+        for panel in ("observed", "simulated"):
+            self.set_value(data / f"{panel}.csv", 3, "0")
+        p = write_config(tmp_path / "run.cfg", data, tmp_path / "out", mode=mode, **laws)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+
+    def test_constant_observed_panel(self, tmp_path, data, capsys):
+        path = data / "observed.csv"
+        for line in range(2, len(path.read_text().splitlines()) + 1):
+            self.set_value(path, line, "5.0")
+        assert self.fit(tmp_path, data) == EXIT_DATA
+        assert "degenerate (constant) panel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_stations_on_one_point(self, tmp_path, data, capsys):
+        path = data / "stations.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *(f"{row.split(',')[0]},1.0,1.0,{row[-1]}"
+                                             for row in rows)]) + "\n")
+        assert self.fit(tmp_path, data) == EXIT_DATA
+        assert "distinct station locations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_dir_fails_before_the_fit(self, tmp_path, data, monkeypatch):
+        monkeypatch.setattr(cli, "run_mcmc", lambda *args: pytest.fail("the chains ran"))
+        (tmp_path / "a_file").write_text("")
+        p = write_config(tmp_path / "run.cfg", data, tmp_path / "a_file" / "out")
+        assert main(["fit", "--config", str(p)]) == EXIT_DATA
 
 
 class TestHierarchicalPipeline:

@@ -193,6 +193,16 @@ class TestSample:
         b = egpd_sample(100, p, 42)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("law, n, seed", [
+        ((20.0, -0.08, 6.0), 20000, 7), ((10.0, -0.1, 5.0), 5000, 1),
+        ((10.0, -0.1, 5.0), 100, 42), ((20.0, -0.08, 18.0), 100_000, 42)])
+    def test_draws_are_the_quantiles_of_the_uniforms(self, law, n, seed):
+        # egpd_draw keeps a draw inside (0, delta); on these laws and seeds
+        # (this class's and acceptance criterion 2's) no draw needs it
+        p = params(*law)
+        u = np.random.default_rng(seed).uniform(size=n)
+        assert np.array_equal(egpd_sample(n, p, seed), egpd_quantile(u, p))
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DomainError):
             egpd_sample(0, params(), np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Unit tests for the hierarchical model and its Metropolis-within-Gibbs sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ class TestModelValidation:
         with pytest.raises(DataValidationError):
             HierarchicalModel(np.ones((3, 4)), x, net)
 
+    @pytest.mark.parametrize("panel, value", [("observed", 0.0), ("simulated", 0.0),
+                                              ("observed", -1.0)])
+    def test_rejects_values_outside_the_egpd_support(self, panel, value):
+        # the support is (0, delta); the first bad cell is named by panel, station and day
+        net = toy_network()
+        y, x = np.ones((3, 4)), np.ones((5, 4))
+        (y if panel == "observed" else x)[1, 2] = value
+        rule = f"has value {value!r}; the hierarchical model needs values > 0"
+        with pytest.raises(DataValidationError,
+                           match=f"^{panel} panel: station 's1' on day 2 {re.escape(rule)}$"):
+            HierarchicalModel(y, x, net)
+        dates = ("2013-01-01", "2013-01-02", "2013-01-03", "2013-01-04")
+        with pytest.raises(DataValidationError, match="station 's1' on 2013-01-03 has"):
+            HierarchicalModel(y, x, net, dates=dates)
+
     def test_rejects_all_missing_observed(self):
         net = toy_network()
         with pytest.raises(DataValidationError):
@@ -87,10 +103,10 @@ class TestModelValidation:
 
     def test_default_shifts_are_panel_maxima(self):
         net = toy_network()
-        y = np.arange(12, dtype=float).reshape(3, 4)
+        y = np.arange(12, dtype=float).reshape(3, 4) + 1.0
         x = np.arange(20, dtype=float).reshape(5, 4) + 0.5
         m = HierarchicalModel(y, x, net)
-        assert m.shift_y == 11.0
+        assert m.shift_y == 12.0
         assert m.shift_x == 19.5
 
     def test_initialize_on_panel_spanning_17_decades(self):
