@@ -92,7 +92,7 @@ def save_draws_npz(path, draws: PosteriorDraws):
 
 
 def load_draws_npz(path) -> PosteriorDraws:
-    """Read a draws.npz archive, compressed (as written before) or not."""
+    """Read a draws.npz archive, compressed or not."""
     try:
         data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
