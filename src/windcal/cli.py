@@ -7,7 +7,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment at the
 start of a line or after whitespace, so a value may hold ``#``.  The path
 keys (stations, observed, simulated, output_dir) can be overridden by
 environment variables WINDCAL_STATIONS, WINDCAL_OBSERVED, WINDCAL_SIMULATED,
-WINDCAL_OUTPUT_DIR.
+WINDCAL_OUTPUT_DIR.  The three input keys have no default.
 """
 
 from __future__ import annotations
@@ -64,21 +64,18 @@ _CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
 # RunConfig fields built from prefixed keys: (record, key prefix, the record's faults function)
 _RECORDS = {"priors": (PriorSpec, "prior_", prior_faults),
             "source": (EgpdParams, "source_", egpd_faults),
-            "target": (EgpdParams, "target_", egpd_faults)}
+            "target": (EgpdParams, "target_", egpd_faults),
+            "mcmc": (McmcConfig, "", mcmc_faults)}
 
 
 @dataclass
 class RunConfig:
-    stations: str = ""
-    observed: str = ""
-    simulated: str = ""
+    stations: str
+    observed: str
+    simulated: str
     output_dir: str = "out"
     mode: str = "hierarchical"
-    seed: int = 0
-    iterations: int = 4000
-    burn_in: int = 1000
-    thinning: int = 5
-    chains: int = 2
+    mcmc: McmcConfig = field(default_factory=McmcConfig)
     correlation_family: str = "disc"
     priors: PriorSpec = field(default_factory=PriorSpec)
     source: EgpdParams | None = None  # the marginal-parametric mode's two laws
@@ -87,6 +84,16 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    @property
+    def seed(self) -> int:
+        return self.mcmc.seed
+
+
+# each config key and its field's type, which the key's text is read as
+_KINDS = {prefix + f.name: {"str": str, "int": int, "float": float}[f.type]
+          for record, prefix, _ in [(RunConfig, "", None), *_RECORDS.values()]
+          for f in dataclasses.fields(record) if f.name not in _RECORDS}
 
 
 def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
@@ -114,21 +121,16 @@ def parse_config(path) -> RunConfig:
     for key in _PATH_KEYS:
         if env := os.environ.get(f"WINDCAL_{key.upper()}"):
             raw[key] = (env, f"WINDCAL_{key.upper()}")
-    # each key is read with the type of its field's default; a record's fields are floats
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)
-             if f.name not in _RECORDS}
-    kinds.update((prefix + f.name, float) for record, prefix, _ in _RECORDS.values()
-                 for f in dataclasses.fields(record))
     values = {}
     for key, (value, where) in raw.items():
-        if key not in kinds:
+        if key not in _KINDS:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
         try:
-            values[key] = kinds[key](value)
+            values[key] = _KINDS[key](value)
         except ValueError:
-            raise _bad(where, key, value, f"is not a valid {kinds[key].__name__}") from None
+            raise _bad(where, key, value, f"is not a valid {_KINDS[key].__name__}") from None
     faults = []
     for name, (record, prefix, record_faults) in _RECORDS.items():
         fields = {f.name: values.pop(prefix + f.name, f.default)
@@ -142,14 +144,14 @@ def parse_config(path) -> RunConfig:
         faults += [([prefix + f for f in names], rule) for names, rule in found]
         if not found:
             values[name] = record(**fields)
-    cfg = RunConfig(**values)
-    faults += mcmc_faults(cfg)
     if faults:
         keys, rule = faults[0]
         # name the last of the rule's keys the file sets
         key = [k for k in raw if k in keys][-1]
         raise _bad(raw[key][1], key, raw[key][0], rule)
-    return cfg
+    if unset := [key for key in _INPUT_KEYS if not values.get(key)]:
+        raise DataValidationError(f"{path}: {unset[0]} not set")
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +249,7 @@ def run(cfg: RunConfig) -> int:
     elif cfg.mode == "marginal-parametric":
         field_ = _marginal_parametric_field(panel, cfg)
     else:
-        mcfg = McmcConfig(iterations=cfg.iterations, burn_in=cfg.burn_in,
-                          thinning=cfg.thinning, chains=cfg.chains, seed=cfg.seed)
-        draws = run_mcmc(model, mcfg)
+        draws = run_mcmc(model, cfg.mcmc)
         field_ = calibrate_field(draws, panel.x, net.observed_indices, seed=cfg.seed)
 
     _write_calibrated_csv(os.path.join(cfg.output_dir, "calibrated.csv"), net, panel, field_)
@@ -267,7 +267,7 @@ def run(cfg: RunConfig) -> int:
         _write_posterior_csv(os.path.join(cfg.output_dir, "posterior.csv"), draws)
         _write_summary_csv(os.path.join(cfg.output_dir, "summary.csv"),
                            summarize_posterior(draws))
-        _write_diagnostics(cfg.output_dir, draws, cfg.iterations)
+        _write_diagnostics(cfg.output_dir, draws, cfg.mcmc.iterations)
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
         manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
         _export_sigma_boxplot(cfg.output_dir, draws)

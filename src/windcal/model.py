@@ -162,7 +162,7 @@ class McmcConfig:
     iterations: int = 4000
     burn_in: int = 1000
     thinning: int = 5
-    chains: int = 1
+    chains: int = 2
     seed: int = 0
 
     def __post_init__(self):

@@ -23,6 +23,7 @@ from windcal.cli import (
 from windcal.data import load_field, load_network, load_panel
 from windcal.draws import SCALAR_NAMES, PosteriorDraws
 from windcal.errors import DataValidationError
+from windcal.model import McmcConfig
 from windcal.predictive import day_densities
 
 
@@ -99,9 +100,19 @@ class TestConfigParsing:
                          mode="hierarchical", iterations=50, burn_in=10,
                          thinning=2, chains=1, seed=5, prior_kappa_shape=2.0)
         cfg = parse_config(p)
-        assert cfg.iterations == 50 and cfg.chains == 1
+        assert cfg.mcmc.iterations == 50 and cfg.mcmc.chains == 1
         assert cfg.priors.kappa_shape == 2.0
         assert cfg.priors.kappa_rate == 0.05  # untouched default
+
+    def test_chain_keys_build_mcmc(self, tmp_path, dataset):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         iterations=50, burn_in=10, thinning=2, chains=3, seed=5)
+        cfg = parse_config(p)
+        assert cfg.mcmc == McmcConfig(iterations=50, burn_in=10, thinning=2, chains=3, seed=5)
+        assert cfg.seed == 5
+        # a key the file leaves out keeps McmcConfig's default
+        assert parse_config(write_config(tmp_path / "bare.cfg", dataset, tmp_path / "out")
+                            ).mcmc == McmcConfig()
 
     def test_comments_and_blank_lines(self, tmp_path, dataset):
         p = tmp_path / "run.cfg"
@@ -116,7 +127,7 @@ class TestConfigParsing:
                          iterations="2000  # inline comment", seed="5\t# tab before it")
         cfg = parse_config(p)
         assert cfg.output_dir == str(tmp_path / "run#1")
-        assert cfg.iterations == 2000 and cfg.seed == 5
+        assert cfg.mcmc.iterations == 2000 and cfg.mcmc.seed == 5
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -138,6 +149,21 @@ class TestConfigParsing:
                            match=f"^{re.escape(str(p))} line 7: iterations set again "
                            r"\(first on line 5\)$"):
             parse_config(p)
+
+    @pytest.mark.parametrize("key", ["stations", "observed", "simulated"])
+    def test_input_not_set(self, tmp_path, dataset, capsys, key):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        p.write_text("".join(line for line in p.read_text().splitlines(keepends=True)
+                             if not line.startswith(key)))
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{p}: {key} not set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_value_named_before_an_unset_input(self, tmp_path, dataset, capsys):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", chains=0)
+        p.write_text(p.read_text().split("\n", 1)[1])  # drop the stations line
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{p} line 4: chains = '0' must be >= 1" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(DataValidationError, match="not found"):
@@ -452,7 +478,8 @@ class TestHierarchicalPipeline:
     def test_manifest_contents(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["seed"] == 3
-        assert manifest["config"]["iterations"] == 30
+        assert manifest["config"]["mcmc"] == {"iterations": 30, "burn_in": 10, "thinning": 2,
+                                              "chains": 2, "seed": 3}
         assert "windcal" in manifest["versions"]
         assert "acceptance" in manifest and "wall_time_s" in manifest
         # a mode that reads no law echoes none

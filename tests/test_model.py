@@ -48,6 +48,9 @@ class TestConfig:
         with pytest.raises(DomainError):
             McmcConfig(iterations=0, burn_in=10)
 
+    def test_two_chains_by_default(self):
+        assert McmcConfig().chains == 2
+
     def test_rejects_bad_thinning_and_chains(self):
         with pytest.raises(DomainError):
             McmcConfig(thinning=0)
@@ -377,7 +380,7 @@ class TestRunMcmc:
 
     def test_zero_iterations_returns_initial_state(self):
         m = toy_model(seed=1)
-        d = run_mcmc(m, McmcConfig(iterations=0, burn_in=0, thinning=1, seed=0))
+        d = run_mcmc(m, McmcConfig(iterations=0, burn_in=0, thinning=1, chains=1, seed=0))
         assert d.n_draws == 1
 
     def test_mean_sigma_is_the_mean_over_draws(self):

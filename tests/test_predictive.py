@@ -32,7 +32,7 @@ def small_fit(seed=0, n_total=5, n_obs=3, n_times=4, iterations=30):
     model = HierarchicalModel(panel.y, panel.x, net,
                               shift_y=truth.shift_y, shift_x=truth.shift_x)
     draws = run_mcmc(model, McmcConfig(iterations=iterations, burn_in=10,
-                                       thinning=2, seed=seed))
+                                       thinning=2, chains=1, seed=seed))
     return net, panel, draws
 
 
