@@ -233,7 +233,7 @@ def run(cfg: RunConfig) -> int:
         raise DataValidationError(
             "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)
-    panel = load_panel(cfg.observed, cfg.simulated, net, stations_path=cfg.stations)
+    panel = load_panel(cfg.observed, cfg.simulated, net)
     # of the modes only marginal-parametric reads no observation
     if cfg.mode != "marginal-parametric" and np.isnan(panel.y).all():
         raise DataValidationError(f"{cfg.observed}: no data rows")
@@ -405,7 +405,7 @@ def _cmd_export_figures(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataValidationError(f"{manifest_path}: not a run manifest ({exc!r})") from None
     net = load_network(stations)
-    panel = load_panel(observed, simulated, net, stations_path=stations)
+    panel = load_panel(observed, simulated, net)
     bad_days = " ".join(str(day) for day in args.day if not 0 <= day < panel.n_times)
     if bad_days:
         raise DataValidationError(f"--day {bad_days} outside the days 0..{panel.n_times - 1}")

@@ -90,7 +90,7 @@ def load_network(path) -> StationNetwork:
         observed.append(bool(flag))
     if not ids:
         raise DataValidationError(f"{path}: no data rows")
-    return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed))
+    return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed), path)
 
 
 def _is_date(text: str) -> bool:
@@ -146,12 +146,11 @@ def _rectangle(path, what: str, cells: dict, ids, dates) -> np.ndarray:
     return grid
 
 
-def load_panel(observed_path, simulated_path, net: StationNetwork,
-               stations_path="the stations file") -> PanelData:
-    """Load and align the two long-form panel CSVs against the network read from stations_path."""
+def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
+    """Load and align the two long-form panel CSVs against the network."""
     obs_ids = [net.ids[i] for i in net.observed_indices]
     y_cells, y_dates = _read_long_panel(observed_path, {
-        sid: None if flag else f"is not an observed station in {stations_path}"
+        sid: None if flag else f"is not an observed station in {net.source}"
         for sid, flag in zip(net.ids, net.observed)})
     x_cells, x_dates = _read_long_panel(simulated_path, dict.fromkeys(net.ids))
     if not x_cells:

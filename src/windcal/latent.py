@@ -35,16 +35,17 @@ class StationNetwork:
     ids: tuple
     coords: np.ndarray          # (N_s, 2), km
     observed: np.ndarray        # (N_s,) bool
+    source: str = "the station network"  # the file it was read from, named in messages
 
     @classmethod
-    def from_coords(cls, ids, coords, observed) -> "StationNetwork":
+    def from_coords(cls, ids, coords, observed, source=source) -> "StationNetwork":
         coords = np.asarray(coords, dtype=float)
         observed = np.asarray(observed, dtype=bool)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise DataValidationError("coords must be (N_s, 2)")
         if len(ids) != coords.shape[0] or observed.shape[0] != coords.shape[0]:
             raise DataValidationError("ids, coords and observed mask must align")
-        return cls(ids=tuple(ids), coords=coords, observed=observed)
+        return cls(ids=tuple(ids), coords=coords, observed=observed, source=source)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -69,7 +70,8 @@ class StationNetwork:
         """Distances divided by the max pairwise distance, so alpha in (0.1, 0.5) is meaningful."""
         dmax = self.distances.max()
         if dmax <= 0:
-            raise DataValidationError("network needs at least two distinct station locations")
+            raise DataValidationError(
+                f"{self.source}: needs at least two distinct station locations")
         return self.distances / dmax
 
 

@@ -393,11 +393,12 @@ class HierarchicalModel:
         for name, law in self.laws.items():
             value = _START[name.split("_")[0]]
             start[name] = value if law.lo < value < law.hi else 0.5 * (law.lo + law.hi)
-        for mg, panel in zip(self.margins, (self.y, self.x)):
-            sd = float(np.nanstd(panel))
+        for mg, panel, name in zip(self.margins, (self.y, self.x), ("observed", "simulated")):
+            sd, top = float(np.nanstd(panel)), float(np.nanmax(panel))
             if sd <= 0:
-                raise DataValidationError("degenerate (constant) panel; cannot initialize")
-            start[mg.delta] = np.full(panel.shape, max(mg.shift, float(np.nanmax(panel))) + sd)
+                raise DataValidationError(
+                    f"{name} panel: every value is {top!r}; a constant panel cannot initialize")
+            start[mg.delta] = np.full(panel.shape, max(mg.shift, top) + sd)
         state = ModelState(w=np.zeros(self.n_total), z=np.zeros(self.n_times), **start)
         lp = self.log_posterior(state)
         if not np.isfinite(lp):

@@ -14,6 +14,7 @@ import pytest
 from windcal import cli
 from windcal.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     load_draws_npz,
@@ -22,7 +23,7 @@ from windcal.cli import (
 )
 from windcal.data import load_field, load_network, load_panel
 from windcal.draws import SCALAR_NAMES, PosteriorDraws
-from windcal.errors import DataValidationError
+from windcal.errors import DataValidationError, NumericalError
 from windcal.model import McmcConfig
 from windcal.predictive import day_densities
 
@@ -165,6 +166,13 @@ class TestConfigParsing:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{p} line 4: chains = '0' must be >= 1" in capsys.readouterr().err
 
+    def test_line_without_equals_sign(self, tmp_path, dataset):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        p.write_text(p.read_text() + "iterations 20\n")
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(str(p))} line 5: expected key = value$"):
+            parse_config(p)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(DataValidationError, match="not found"):
             parse_config(tmp_path / "nope.cfg")
@@ -174,6 +182,16 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["calibrate"]) == EXIT_USAGE
         assert main(["not-a-command", "--config", "x"]) == EXIT_USAGE
+
+    def test_numerical_failure_exits_3(self, tmp_path, dataset, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalError("chain diverged")
+
+        monkeypatch.setattr(cli, "run_mcmc", fail)
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", iterations=4,
+                         burn_in=1, thinning=1)
+        assert main(["fit", "--config", str(p)]) == EXIT_NUMERIC
+        assert "windcal: numerical failure: chain diverged" in capsys.readouterr().err
 
     def test_data_error(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
@@ -426,17 +444,40 @@ class TestInputsAFitCannotUse:
         for line in range(2, len(path.read_text().splitlines()) + 1):
             self.set_value(path, line, "5.0")
         assert self.fit(tmp_path, data) == EXIT_DATA
-        assert "degenerate (constant) panel" in capsys.readouterr().err
+        assert ("observed panel: every value is 5.0; a constant panel cannot initialize"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_stations_on_one_point(self, tmp_path, data, capsys):
-        path = data / "stations.csv"
+    def test_constant_simulated_panel(self, tmp_path, data, capsys):
+        path = data / "simulated.csv"
+        for line in range(2, len(path.read_text().splitlines()) + 1):
+            self.set_value(path, line, "7.5")
+        assert self.fit(tmp_path, data) == EXIT_DATA
+        assert ("simulated panel: every value is 7.5; a constant panel cannot initialize"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def put_on_one_point(path):
         header, *rows = path.read_text().splitlines()
         path.write_text("\n".join([header, *(f"{row.split(',')[0]},1.0,1.0,{row[-1]}"
                                              for row in rows)]) + "\n")
+
+    def test_stations_on_one_point(self, tmp_path, data, capsys):
+        path = data / "stations.csv"
+        self.put_on_one_point(path)
         assert self.fit(tmp_path, data) == EXIT_DATA
-        assert "distinct station locations" in capsys.readouterr().err
+        assert (f"{path}: needs at least two distinct station locations"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, laws", [("marginal-empirical", {}),
+                                            ("marginal-parametric", TestMarginalModes.LAWS)])
+    def test_marginal_modes_take_stations_on_one_point(self, tmp_path, data, mode, laws):
+        # a marginal map reads no distance
+        self.put_on_one_point(data / "stations.csv")
+        p = write_config(tmp_path / "run.cfg", data, tmp_path / "out", mode=mode, **laws)
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
 
     def test_unwritable_output_dir_fails_before_the_fit(self, tmp_path, data, monkeypatch):
         monkeypatch.setattr(cli, "run_mcmc", lambda *args: pytest.fail("the chains ran"))

@@ -213,6 +213,19 @@ class TestLoadValidation:
         with pytest.raises(DataValidationError, match="line 3"):
             load_network(p)
 
+    def test_non_numeric_coordinate_names_line(self, tmp_path):
+        p = self._write(tmp_path / "s.csv",
+                        "station_id,x_km,y_km,observed\na,0,0,1\nb,1,north,1\n")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))} line 3: could not "
+                           "convert string to float: 'north'$"):
+            load_network(p)
+
+    def test_network_names_its_file(self, tmp_path):
+        p = self._write(tmp_path / "s.csv", "station_id,x_km,y_km,observed\na,1,1,1\nb,1,1,0\n")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}: needs at least "
+                           "two distinct station locations$"):
+            load_network(p).scaled_distances
+
     def test_line_after_blank_line(self, tmp_path):
         p = self._write(tmp_path / "s.csv",
                         "station_id,x_km,y_km,observed\na,0,0,1\n\nb,nan,1,1\n")
@@ -239,6 +252,15 @@ class TestLoadValidation:
                           "station_id,date,value\na,2013-01-01,1.0\nb,2013-01-01,1.0\n")
         with pytest.raises(DataValidationError, match=f"^{re.escape(str(obs))} line 2: "
                            "station 'zz' not in the network$"):
+            load_panel(obs, sim, net)
+
+    def test_negative_value_names_line(self, tmp_path):
+        net = self._tiny_net(tmp_path)
+        obs = self._write(tmp_path / "o.csv", "station_id,date,value\na,2013-01-01,1.0\n")
+        sim = self._write(tmp_path / "x.csv",
+                          "station_id,date,value\na,2013-01-01,1.0\nb,2013-01-01,-0.5\n")
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(str(sim))} line 3: negative value -0.5$"):
             load_panel(obs, sim, net)
 
     def test_duplicate_cell(self, tmp_path):

@@ -56,7 +56,8 @@ class TestStationNetwork:
     def test_degenerate_coordinates(self):
         net = StationNetwork.from_coords(["a", "b"], np.zeros((2, 2)),
                                          np.array([True, True]))
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match="^the station network: needs at least "
+                           "two distinct station locations$"):
             net.scaled_distances
 
 
