@@ -101,17 +101,11 @@ class TestConfigParsing:
                          mode="hierarchical", iterations=50, burn_in=10,
                          thinning=2, chains=1, seed=5, prior_kappa_shape=2.0)
         cfg = parse_config(p)
-        assert cfg.mcmc.iterations == 50 and cfg.mcmc.chains == 1
+        assert cfg.mcmc == McmcConfig(iterations=50, burn_in=10, thinning=2, chains=1, seed=5)
+        assert cfg.seed == 5
         assert cfg.priors.kappa_shape == 2.0
         assert cfg.priors.kappa_rate == 0.05  # untouched default
-
-    def test_chain_keys_build_mcmc(self, tmp_path, dataset):
-        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
-                         iterations=50, burn_in=10, thinning=2, chains=3, seed=5)
-        cfg = parse_config(p)
-        assert cfg.mcmc == McmcConfig(iterations=50, burn_in=10, thinning=2, chains=3, seed=5)
-        assert cfg.seed == 5
-        # a key the file leaves out keeps McmcConfig's default
+        # a chain key the file leaves out keeps McmcConfig's default
         assert parse_config(write_config(tmp_path / "bare.cfg", dataset, tmp_path / "out")
                             ).mcmc == McmcConfig()
 

@@ -220,12 +220,6 @@ class TestLoadValidation:
                            "convert string to float: 'north'$"):
             load_network(p)
 
-    def test_network_names_its_file(self, tmp_path):
-        p = self._write(tmp_path / "s.csv", "station_id,x_km,y_km,observed\na,1,1,1\nb,1,1,0\n")
-        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}: needs at least "
-                           "two distinct station locations$"):
-            load_network(p).scaled_distances
-
     def test_line_after_blank_line(self, tmp_path):
         p = self._write(tmp_path / "s.csv",
                         "station_id,x_km,y_km,observed\na,0,0,1\n\nb,nan,1,1\n")
