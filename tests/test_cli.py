@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from windcal import cli
+from windcal import BLAS_THREAD_ENV, cli
 from windcal.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -517,6 +517,10 @@ class TestHierarchicalPipeline:
                                               "chains": 2, "seed": 3}
         assert "windcal" in manifest["versions"]
         assert "acceptance" in manifest and "wall_time_s" in manifest
+        # the BLAS thread variables as the run saw them: importing windcal sets one if none is
+        assert manifest["blas_threads_env"] == {name: os.environ.get(name)
+                                                for name in BLAS_THREAD_ENV}
+        assert any(manifest["blas_threads_env"].values())
         # a mode that reads no law echoes none
         assert manifest["config"]["source"] is None and manifest["config"]["target"] is None
 
@@ -791,3 +795,35 @@ class TestImportFootprint:
         for args in (["summarize", "--draws", out / "draws.npz", "--out", tmp_path / "t.csv"],
                      ["export-figures", "--run-dir", out, "--day", "1"]):
             assert "scipy" not in loaded_modules(args), args[0]
+
+
+class TestBlasThreadPin:
+    """Importing windcal pins OpenBLAS to one thread unless the user set a thread count."""
+
+    # the interpreter's OS threads after numpy's and scipy's OpenBLAS have loaded
+    SCRIPT = ("import os\nimport windcal.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "import scipy.linalg\n"
+              "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+              "else 'unknown')")
+
+    def fresh_import(self, **env):
+        # this process imported windcal, so its own environment already holds the pin
+        base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              env={**base, "PYTHONPATH": SRC, **env},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.split()
+        return value, threads
+
+    def test_unset_pins_one_thread(self):
+        value, threads = self.fresh_import()
+        assert value == "1"
+        if threads == "unknown":
+            pytest.skip("no /proc/self/task to count threads")
+        assert threads == "1"
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_ENV)
+    def test_user_thread_count_wins(self, name):
+        value, _ = self.fresh_import(**{name: "2"})
+        assert value == ("2" if name == "OPENBLAS_NUM_THREADS" else "None")
