@@ -813,8 +813,7 @@ class TestBlasThreadPin:
                               env={**base, "PYTHONPATH": SRC, **env},
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        value, threads = done.stdout.split()
-        return value, threads
+        return done.stdout.split()
 
     def test_unset_pins_one_thread(self):
         value, threads = self.fresh_import()
