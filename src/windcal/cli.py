@@ -270,11 +270,13 @@ def run(cfg: RunConfig) -> int:
                            summarize_posterior(draws))
         _write_diagnostics(cfg.output_dir, draws, cfg.mcmc.iterations)
         _save_draws_npz(os.path.join(cfg.output_dir, "draws.npz"), draws)
-        manifest["acceptance"] = {k: float(v) for k, v in draws.acceptance.items()}
+        # null for a block that made no proposal (a zero-iteration run)
+        manifest["acceptance"] = {k: None if np.isnan(v) else float(v)
+                                  for k, v in draws.acceptance.items()}
         _export_sigma_boxplot(cfg.output_dir, draws)
     manifest["wall_time_s"] = time.perf_counter() - t_start
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import methodcaller
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -413,9 +414,9 @@ class HierarchicalModel:
 class MwgSampler:
     """Adaptive single-site Metropolis-within-Gibbs over a HierarchicalModel.
 
-    Update order per sweep is fixed: betas, kappas, xis (each y then x),
-    alpha, taus, each spatial site, each day (with recentring), then both
-    endpoint panels in one vectorized block each.
+    A sweep runs ``blocks``, the one ordered table of (name, update(sampler),
+    starting log-scale) rows; the adaptation state and the acceptance report
+    follow its rows.  w and z update site by site, each endpoint panel as one block.
 
     The endpoint prior log(lambda) - lambda * G, lambda = exp(beta + w_i + z_j)
     and G = delta - shift, is read only through _rate_factors: beta, w and z
@@ -430,13 +431,21 @@ class MwgSampler:
         self.rng = rng
         self.adapting = True
         self.iteration = 0
-        self.log_scales = {name: math.log(0.1) for name in SCALAR_NAMES}
-        self.log_scales["w"] = np.full(model.n_total, math.log(0.3))
-        self.log_scales["z"] = np.full(model.n_times, math.log(0.3))
-        for mg in model.margins:
-            self.log_scales[mg.delta] = math.log(1.0)
-        self.accept_counts = {k: 0.0 for k in self.log_scales}
-        self.proposal_counts = {k: 0.0 for k in self.log_scales}
+        # a row's update takes the sampler, so the table holds no reference to
+        # it and a finished chain's sampler is freed as soon as it is dropped
+        margins, scalar, site = model.margins, math.log(0.1), math.log(0.3)
+        self.blocks = [
+            *((getattr(mg, slot), methodcaller(f"_update_{slot}", mg), scalar)
+              for slot in ("beta", "kappa", "xi") for mg in margins),
+            ("alpha", methodcaller("_update_alpha"), scalar),
+            *((name, methodcaller("_update_tau", name), scalar) for name in ("tau_w", "tau_z")),
+            ("w", methodcaller("_update_w"), np.full(model.n_total, site)),
+            ("z", methodcaller("_update_z"), np.full(model.n_times, site)),
+            *((mg.delta, methodcaller("_update_delta", mg), 0.0) for mg in margins)]
+        self.log_scales, self.accept_counts, self.proposal_counts = {}, {}, {}
+        for name, _, log_scale in self.blocks:
+            self.log_scales[name] = log_scale
+            self.accept_counts[name] = self.proposal_counts[name] = 0.0
         self.refresh_cache()
 
     # cached pieces of the log-posterior, each current after every block
@@ -665,17 +674,8 @@ class MwgSampler:
     # -- one sweep --------------------------------------------------------------------
 
     def sweep(self):
-        margins = self.model.margins
-        for update in (self._update_beta, self._update_kappa, self._update_xi):
-            for mg in margins:
-                update(mg)
-        self._update_alpha()
-        self._update_tau("tau_w")
-        self._update_tau("tau_z")
-        self._update_w()
-        self._update_z()
-        for mg in margins:
-            self._update_delta(mg)
+        for _, update, _ in self.blocks:
+            update(self)
         self.iteration += 1
 
     def acceptance_rates(self) -> dict:

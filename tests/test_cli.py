@@ -24,7 +24,7 @@ from windcal.cli import (
 from windcal.data import load_field, load_network, load_panel
 from windcal.draws import SCALAR_NAMES, PosteriorDraws
 from windcal.errors import DataValidationError, NumericalError
-from windcal.model import McmcConfig
+from windcal.model import HierarchicalModel, McmcConfig, MwgSampler
 from windcal.predictive import day_densities
 
 
@@ -67,6 +67,15 @@ def loaded_modules(args):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def strict_json(path):
+    """``path`` parsed as strict JSON, as jq or JSON.parse would: NaN and Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 class TestSimulate:
@@ -510,8 +519,8 @@ class TestHierarchicalPipeline:
         for r in rows:
             assert float(r["q2.5"]) <= float(r["median"]) <= float(r["q97.5"])
 
-    def test_manifest_contents(self, run_dir):
-        manifest = json.loads((run_dir / "manifest.json").read_text())
+    def test_manifest_contents(self, run_dir, dataset):
+        manifest = strict_json(run_dir / "manifest.json")
         assert manifest["seed"] == 3
         assert manifest["config"]["mcmc"] == {"iterations": 30, "burn_in": 10, "thinning": 2,
                                               "chains": 2, "seed": 3}
@@ -523,6 +532,27 @@ class TestHierarchicalPipeline:
         assert any(manifest["blas_threads_env"].values())
         # a mode that reads no law echoes none
         assert manifest["config"]["source"] is None and manifest["config"]["target"] is None
+        # acceptance.csv reports the sampler's blocks in sweep order; the manifest
+        # reports the same blocks, its keys sorted
+        net = load_network(dataset / "stations.csv")
+        panel = load_panel(dataset / "observed.csv", dataset / "simulated.csv", net)
+        model = HierarchicalModel(panel.y, panel.x, net)
+        sampler = MwgSampler(model, model.initialize_state(), np.random.default_rng(0))
+        blocks = [name for name, *_ in sampler.blocks]
+        assert [r["block"] for r in read_rows(run_dir / "acceptance.csv")] == blocks
+        assert manifest["acceptance"].keys() == set(blocks)
+
+    def test_zero_iteration_fit_writes_strict_json(self, tmp_path, dataset):
+        # no block made a proposal: acceptance.csv holds nan, the manifest null
+        out = tmp_path / "zero"
+        p = write_config(tmp_path / "zero.cfg", dataset, out, iterations=0, burn_in=0,
+                         thinning=1, chains=1)
+        assert main(["fit", "--config", str(p)]) == EXIT_OK
+        acceptance = strict_json(out / "manifest.json")["acceptance"]
+        assert acceptance and all(v is None for v in acceptance.values())
+        rows = read_rows(out / "acceptance.csv")
+        assert {r["block"] for r in rows} == acceptance.keys()
+        assert all(r["acceptance_rate"] == "nan" for r in rows)
 
     @pytest.fixture()
     def saved_draws(self, tmp_path, dataset, monkeypatch):

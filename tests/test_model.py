@@ -227,16 +227,16 @@ class TestSampler:
             sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
             checked = []
 
-            def checking(name, block):
-                def run(*args):
-                    block(*args)
+            def checking(name, update):
+                def run(sampler):
+                    update(sampler)
                     assert sampler.log_posterior() == pytest.approx(
                         m.log_posterior(sampler.state), abs=1e-8), name
                     checked.append(name)
                 return run
 
-            for name in [a for a in vars(MwgSampler) if a.startswith("_update_")]:
-                setattr(sampler, name, checking(name, getattr(sampler, name)))
+            sampler.blocks = [(name, checking(name, update), log_scale)
+                              for name, update, log_scale in sampler.blocks]
             for adapting in (True, False):
                 sampler.adapting = adapting
                 for _ in range(25):
@@ -247,8 +247,8 @@ class TestSampler:
                 cached = sampler.log_posterior()
                 sampler.refresh_cache()
                 assert sampler.log_posterior() == pytest.approx(cached, abs=1e-10)
-            # per sweep: beta, kappa, xi and delta of each margin, alpha, two taus, w, z
-            assert len(checked) == 50 * 13
+            # every row of the table, in order, in each of the 50 sweeps
+            assert checked == [name for name, *_ in sampler.blocks] * 50
 
     def test_start_state_outside_endpoint_support_rejected(self):
         m = toy_model(seed=1)
@@ -288,19 +288,15 @@ class TestSampler:
             return True
 
         sampler._accept = accept_all
-        blocks = [(lambda update=update, mg=mg: update(mg), getattr(mg, slot), 1)
-                  for update, slot in ((sampler._update_beta, "beta"),
-                                       (sampler._update_kappa, "kappa"),
-                                       (sampler._update_xi, "xi"))
-                  for mg in m.margins]
-        blocks += [(sampler._update_alpha, "alpha", 1),
-                   (lambda: sampler._update_tau("tau_w"), "tau_w", 1),
-                   (lambda: sampler._update_tau("tau_z"), "tau_z", 1),
-                   (sampler._update_w, "w", m.n_total), (sampler._update_z, "z", m.n_times)]
-        for block, name, n_proposals in blocks:
+        # delta accepts cell by cell without _accept; every other row is checked,
+        # one proposal per element of its starting log-scale
+        deltas = {mg.delta for mg in m.margins}
+        for name, update, log_scale in sampler.blocks:
+            if name in deltas:
+                continue
             seen.clear()
-            block()
-            assert len(seen) == n_proposals, name
+            update(sampler)
+            assert len(seen) == np.size(log_scale), name
             after = [(lp, st) for _, lp, st in seen[1:]]
             after.append((m.log_posterior(sampler.state), sampler.state))
             for (log_ratio, lp_before, before), (lp_after, now) in zip(seen, after):
