@@ -30,7 +30,7 @@ from .egpd import (
     egpd_sample,
     gpd_cdf,
 )
-from .errors import DataValidationError, DomainError, NumericalError, WindcalError
+from .errors import DataValidationError, DomainError, NumericalError, RuleError, WindcalError
 from .latent import StationNetwork, rw1_logdensity, spatial_correlation, spatial_logdensity
 from .model import HierarchicalModel, McmcConfig, ModelState, MwgSampler, PriorSpec, run_mcmc
 from .predictive import CalibratedField, calibrate_field, day_densities, summarize_posterior

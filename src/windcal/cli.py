@@ -20,7 +20,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,10 +38,11 @@ from .data import (
     write_table,
 )
 from .draws import SCALAR_NAMES, PosteriorDraws, load_draws_npz, save_draws_npz
-from .egpd import EgpdParams, egpd_faults
-from .errors import DataValidationError, DomainError, NumericalError, WindcalError
+from .egpd import EgpdParams
+from .errors import (DataValidationError, DomainError, NumericalError, RuleError, WindcalError,
+                     check_rules)
 from .latent import CORRELATION_FAMILIES, StationNetwork
-from .model import HierarchicalModel, McmcConfig, PriorSpec, mcmc_faults, prior_faults, run_mcmc
+from .model import HierarchicalModel, McmcConfig, PriorSpec, run_mcmc
 from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, day_densities,
                          sigma_boxes, summarize_posterior)
 
@@ -61,11 +61,11 @@ _COMMENT = re.compile(r"(^|\s)#.*")
 # the words each word-valued key accepts
 _CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
 
-# RunConfig fields built from prefixed keys: (record, key prefix, the record's faults function)
-_RECORDS = {"priors": (PriorSpec, "prior_", prior_faults),
-            "source": (EgpdParams, "source_", egpd_faults),
-            "target": (EgpdParams, "target_", egpd_faults),
-            "mcmc": (McmcConfig, "", mcmc_faults)}
+# RunConfig fields built from prefixed keys: (record, key prefix)
+_RECORDS = {"priors": (PriorSpec, "prior_"),
+            "source": (EgpdParams, "source_"),
+            "target": (EgpdParams, "target_"),
+            "mcmc": (McmcConfig, "")}
 
 
 @dataclass
@@ -82,8 +82,7 @@ class RunConfig:
     target: EgpdParams | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DataValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_rules([(("mode",), f"must be one of {'/'.join(MODES)}", self.mode in MODES)])
 
     @property
     def seed(self) -> int:
@@ -92,7 +91,7 @@ class RunConfig:
 
 # each config key and its field's type, which the key's text is read as
 _KINDS = {prefix + f.name: {"str": str, "int": int, "float": float}[f.type]
-          for record, prefix, _ in [(RunConfig, "", None), *_RECORDS.values()]
+          for record, prefix in [(RunConfig, ""), *_RECORDS.values()]
           for f in dataclasses.fields(record) if f.name not in _RECORDS}
 
 
@@ -127,28 +126,27 @@ def parse_config(path) -> RunConfig:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
+        if key == "output_dir" and not value:
+            raise _bad(where, key, value, "must not be empty")
         try:
             values[key] = _KINDS[key](value)
         except ValueError:
             raise _bad(where, key, value, f"is not a valid {_KINDS[key].__name__}") from None
-    faults = []
-    for name, (record, prefix, record_faults) in _RECORDS.items():
+    for name, (record, prefix) in _RECORDS.items():
         fields = {f.name: values.pop(prefix + f.name, f.default)
                   for f in dataclasses.fields(record)}
         # a field with no default needs its key: a law takes all of its keys or none
         missing = [prefix + f for f, value in fields.items() if value is dataclasses.MISSING]
         if len(missing) == len(fields):
             continue
-        found = ([(tuple(fields), f"needs {' and '.join(missing)} set too")] if missing
-                 else record_faults(SimpleNamespace(**fields)))
-        faults += [([prefix + f for f in names], rule) for names, rule in found]
-        if not found:
+        try:
+            if missing:
+                raise RuleError(fields, f"needs {' and '.join(missing)} set too")
             values[name] = record(**fields)
-    if faults:
-        keys, rule = faults[0]
-        # name the last of the rule's keys the file sets
-        key = [k for k in raw if k in keys][-1]
-        raise _bad(raw[key][1], key, raw[key][0], rule)
+        except RuleError as exc:
+            # name the last of the rule's keys the file sets
+            key = [k for k in raw if k in {prefix + f for f in exc.fields}][-1]
+            raise _bad(raw[key][1], key, raw[key][0], exc.rule) from None
     if unset := [key for key in _INPUT_KEYS if not values.get(key)]:
         raise DataValidationError(f"{path}: {unset[0]} not set")
     return RunConfig(**values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_rules
 
 # Below this |xi| the GPD CDF switches to the exponential branch to avoid
 # catastrophic cancellation in (1 + xi*y/sigma)**(-1/xi).
@@ -44,17 +44,6 @@ class GpdParams:
         return math.inf
 
 
-def egpd_faults(p) -> list:
-    """The rules the law ``p`` breaks, each as (the fields it names, the rule).
-
-    ``p`` is anything with EgpdParams' fields.
-    """
-    rules = [(("delta",), "must be finite and > 0", 0.0 < p.delta < math.inf),
-             (("xi",), "must be finite and < 0 (endpoint form)", -math.inf < p.xi < 0.0),
-             (("kappa",), "must be finite and > 0", 0.0 < p.kappa < math.inf)]
-    return [(fields, rule) for fields, rule, ok in rules if not ok]
-
-
 @dataclass(frozen=True)
 class EgpdParams:
     """Endpoint-form EGPD: endpoint delta > 0, shape xi < 0, lower-tail kappa > 0."""
@@ -64,10 +53,10 @@ class EgpdParams:
     kappa: float
 
     def __post_init__(self):
-        faults = egpd_faults(self)
-        if faults:
-            (name,), rule = faults[0]
-            raise DomainError(f"{name} {rule}, got {getattr(self, name)}")
+        check_rules([(("delta",), "must be finite and > 0", 0.0 < self.delta < math.inf),
+                     (("xi",), "must be finite and < 0 (endpoint form)",
+                      -math.inf < self.xi < 0.0),
+                     (("kappa",), "must be finite and > 0", 0.0 < self.kappa < math.inf)])
 
     @property
     def sigma(self) -> float:

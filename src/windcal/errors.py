@@ -15,3 +15,19 @@ class DataValidationError(WindcalError):
 
 class NumericalError(WindcalError):
     """A numerical procedure failed (non-PD matrix, non-finite posterior, ...)."""
+
+
+class RuleError(DomainError):
+    """A record's values break one of its rules; ``fields`` names the values the rule reads."""
+
+    def __init__(self, fields, rule: str):
+        super().__init__(f"{', '.join(fields)} {rule}")
+        self.fields = tuple(fields)
+        self.rule = rule
+
+
+def check_rules(rows) -> None:
+    """Raise a RuleError for the first (fields, rule, holds) row that does not hold."""
+    for fields, rule, holds in rows:
+        if not holds:
+            raise RuleError(fields, rule)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .draws import SCALAR_NAMES, STATE_ARRAYS, PosteriorDraws
 from .egpd import egpd_draw, egpd_logpdf_kernel
-from .errors import DataValidationError, DomainError, NumericalError
+from .errors import DataValidationError, NumericalError, check_rules
 from .latent import (
     CholFactor,
     cholesky_correlation,
@@ -48,6 +48,19 @@ class PriorSpec:
     tau_rate: float = 0.1
     alpha_low: float = 0.1
     alpha_high: float = 0.5
+
+    def __post_init__(self):
+        # each box lies inside the range its scalar may take: xi < 0 for the
+        # endpoint form, alpha > 0 for a correlation range
+        check_rules([*(((f,), "must be finite and > 0", 0.0 < getattr(self, f) < math.inf)
+                       for f in ("beta_precision", "kappa_shape", "kappa_rate",
+                                 "tau_shape", "tau_rate")),
+                     (("beta_mean",), "must be finite", math.isfinite(self.beta_mean)),
+                     (("xi_low", "xi_high"), "must satisfy -inf < xi_low < xi_high <= 0",
+                      -math.inf < self.xi_low < self.xi_high <= 0.0),
+                     (("alpha_low", "alpha_high"),
+                      "must satisfy 0 < alpha_low < alpha_high < inf",
+                      0.0 < self.alpha_low < self.alpha_high < math.inf)])
 
 
 class Law(NamedTuple):
@@ -112,50 +125,14 @@ def _log_jac_box(t, lo, hi):
         math.log(hi - lo) + t - 2.0 * math.log1p(math.exp(t))
 
 
-def prior_faults(p) -> list:
-    """The rules the hyperparameters ``p`` break, each as (the fields it names, the rule).
-
-    ``p`` is anything with PriorSpec's fields.  Each box lies inside the
-    range its scalar may take: xi < 0 for the endpoint form, alpha > 0 for a
-    correlation range.
-    """
-    rules = [((f,), "must be finite and > 0", 0.0 < getattr(p, f) < math.inf)
-             for f in ("beta_precision", "kappa_shape", "kappa_rate", "tau_shape", "tau_rate")]
-    rules += [(("beta_mean",), "must be finite", math.isfinite(p.beta_mean)),
-              (("xi_low", "xi_high"), "must satisfy -inf < xi_low < xi_high <= 0",
-               -math.inf < p.xi_low < p.xi_high <= 0.0),
-              (("alpha_low", "alpha_high"), "must satisfy 0 < alpha_low < alpha_high < inf",
-               0.0 < p.alpha_low < p.alpha_high < math.inf)]
-    return [(fields, rule) for fields, rule, ok in rules if not ok]
-
-
 def prior_table(p: PriorSpec) -> dict:
     """The Law of every scalar in SCALAR_NAMES, in that order."""
-    faults = prior_faults(p)
-    if faults:
-        fields, rule = faults[0]
-        raise DomainError(f"prior {', '.join(fields)} {rule}")
     family = {"beta": _normal(p.beta_mean, p.beta_precision),
               "kappa": _gamma(p.kappa_shape, p.kappa_rate),
               "xi": _uniform(p.xi_low, p.xi_high),
               "alpha": _uniform(p.alpha_low, p.alpha_high),
               "tau": _gamma(p.tau_shape, p.tau_rate)}
     return {name: family[name.split("_")[0]] for name in SCALAR_NAMES}
-
-
-def mcmc_faults(c) -> list:
-    """The rules the run settings of ``c`` break, each as (the fields it names, the rule).
-
-    ``c`` is anything with McmcConfig's fields; a zero-iteration run keeps
-    only the initial state, so it takes no burn-in.
-    """
-    rules = [(("iterations",), "must be >= 0", c.iterations >= 0),
-             (("iterations", "burn_in"), "must satisfy 0 <= burn_in < iterations, or both 0",
-              c.burn_in == 0 or 0 < c.burn_in < c.iterations),
-             (("thinning",), "must be >= 1", c.thinning >= 1),
-             (("chains",), "must be >= 1", c.chains >= 1),
-             (("seed",), "must be >= 0", c.seed >= 0)]
-    return [(fields, rule) for fields, rule, ok in rules if not ok]
 
 
 @dataclass(frozen=True)
@@ -167,10 +144,14 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        faults = mcmc_faults(self)
-        if faults:
-            fields, rule = faults[0]
-            raise DomainError(f"{', '.join(fields)} {rule}")
+        # a zero-iteration run keeps only the initial state, so it takes no burn-in
+        check_rules([(("iterations",), "must be >= 0", self.iterations >= 0),
+                     (("iterations", "burn_in"),
+                      "must satisfy 0 <= burn_in < iterations, or both 0",
+                      self.burn_in == 0 or 0 < self.burn_in < self.iterations),
+                     (("thinning",), "must be >= 1", self.thinning >= 1),
+                     (("chains",), "must be >= 1", self.chains >= 1),
+                     (("seed",), "must be >= 0", self.seed >= 0)])
 
 
 @dataclass

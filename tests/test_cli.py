@@ -39,14 +39,11 @@ def dataset(tmp_path):
 
 
 def write_config(path, dataset, outdir, **extra):
-    lines = [
-        f"stations = {dataset}/stations.csv",
-        f"observed = {dataset}/observed.csv",
-        f"simulated = {dataset}/simulated.csv",
-        f"output_dir = {outdir}",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    path.write_text("\n".join(lines) + "\n")
+    """A config of the three inputs and ``outdir``, then ``extra``; an extra key
+    that names one of those four replaces its value on its line."""
+    keys = {"stations": f"{dataset}/stations.csv", "observed": f"{dataset}/observed.csv",
+            "simulated": f"{dataset}/simulated.csv", "output_dir": outdir, **extra}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     return path
 
 
@@ -226,18 +223,34 @@ class TestExitCodes:
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{path} line 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, literal", [
-        ("iterations", "abc"), ("prior_tau_rate", "x"), ("prior_tau_rate", "-1"),
-        ("prior_tau_rate", "nan"), ("prior_beta_precision", "0"), ("prior_kappa_shape", "0"),
-        ("prior_xi_high", "0.3"), ("prior_alpha_low", "-0.2"),
-        ("mode", "bogus"), ("correlation_family", "foo"),
-        ("seed", "-3"), ("thinning", "0"), ("chains", "0"), ("iterations", "0"),
-        ("burn_in", "5000"), ("iterations", "-5")])
+    # each bad value and the rule its line must name
+    BAD_VALUES = [
+        ("iterations", "abc", "is not a valid int"),
+        ("prior_tau_rate", "x", "is not a valid float"),
+        ("prior_tau_rate", "-1", "must be finite and > 0"),
+        ("prior_tau_rate", "nan", "must be finite and > 0"),
+        ("prior_beta_precision", "0", "must be finite and > 0"),
+        ("prior_kappa_shape", "0", "must be finite and > 0"),
+        ("prior_xi_high", "0.3", "must satisfy -inf < xi_low < xi_high <= 0"),
+        ("prior_alpha_low", "-0.2", "must satisfy 0 < alpha_low < alpha_high < inf"),
+        ("mode", "bogus", "must be one of marginal-empirical/marginal-parametric/hierarchical"),
+        ("correlation_family", "foo", "must be one of disc/spherical/exponential"),
+        ("seed", "-3", "must be >= 0"), ("thinning", "0", "must be >= 1"),
+        ("chains", "0", "must be >= 1"),
+        ("iterations", "0", "must satisfy 0 <= burn_in < iterations, or both 0"),
+        ("burn_in", "5000", "must satisfy 0 <= burn_in < iterations, or both 0"),
+        ("iterations", "-5", "must be >= 0"),
+        ("output_dir", "", "must not be empty")]
+
+    @pytest.mark.parametrize("key, literal, rule", BAD_VALUES,
+                             ids=[f"{key}-{literal}" for key, literal, _ in BAD_VALUES])
     def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
-                                                     key, literal):
+                                                     key, literal, rule):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})
         assert main(["fit", "--config", str(p)]) == EXIT_DATA
-        assert f"run.cfg line 5: {key} = {literal!r}" in capsys.readouterr().err
+        line = p.read_text().splitlines().index(f"{key} = {literal}") + 1
+        assert capsys.readouterr().err == (
+            f"windcal: data validation error: {p} line {line}: {key} = {literal!r} {rule}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, literal", [("figure_days", "0"), ("full_dump", "1")])
@@ -352,15 +365,22 @@ class TestMarginalModes:
         assert "marginal-parametric mode needs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, literal", [
-        ("source_xi", "0.3"), ("source_kappa", "-1"), ("target_delta", "0"),
-        ("target_xi", "nan"), ("target_kappa", "inf")])
-    def test_bad_law_rejected_with_line(self, tmp_path, dataset, capsys, key, literal):
+    # each bad law value and the rule its line must name
+    BAD_LAWS = [("source_xi", "0.3", "must be finite and < 0 (endpoint form)"),
+                ("source_kappa", "-1", "must be finite and > 0"),
+                ("target_delta", "0", "must be finite and > 0"),
+                ("target_xi", "nan", "must be finite and < 0 (endpoint form)"),
+                ("target_kappa", "inf", "must be finite and > 0")]
+
+    @pytest.mark.parametrize("key, literal, rule", BAD_LAWS,
+                             ids=[f"{key}-{literal}" for key, literal, _ in BAD_LAWS])
+    def test_bad_law_rejected_with_line(self, tmp_path, dataset, capsys, key, literal, rule):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric", **{**self.LAWS, key: literal})
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         line = p.read_text().splitlines().index(f"{key} = {literal}") + 1
-        assert f"run.cfg line {line}: {key} = {literal!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"windcal: data validation error: {p} line {line}: {key} = {literal!r} {rule}\n")
         assert not (tmp_path / "out").exists()
 
     def test_marginal_parametric(self, tmp_path, dataset):

@@ -18,7 +18,7 @@ from windcal.egpd import (
     egpd_sample,
     gpd_cdf,
 )
-from windcal.errors import DomainError
+from windcal.errors import DomainError, RuleError
 
 # Independently computed with 50-digit arithmetic and frozen.
 CDF_ORACLE = 0.99512671493448490168  # egpd_cdf(5.0; delta=10, xi=-0.1, kappa=5)
@@ -41,8 +41,10 @@ class TestParams:
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             EgpdParams(delta=-1.0, xi=-0.1, kappa=2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RuleError) as excinfo:
             EgpdParams(delta=1.0, xi=0.1, kappa=2.0)
+        assert excinfo.value.fields == ("xi",)
+        assert excinfo.value.rule == "must be finite and < 0 (endpoint form)"
         with pytest.raises(DomainError):
             EgpdParams(delta=1.0, xi=-0.1, kappa=0.0)
         with pytest.raises(DomainError):

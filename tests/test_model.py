@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 from windcal.data import SyntheticTruth, generate_synthetic
-from windcal.errors import DataValidationError, DomainError, NumericalError
+from windcal.errors import DataValidationError, DomainError, NumericalError, RuleError
 from windcal.latent import StationNetwork
 from windcal.model import (
     HierarchicalModel,
@@ -43,8 +43,11 @@ def toy_model(seed=0, n_total=5, n_obs=3, n_times=4, missing_rate=0.0, **kwargs)
 
 class TestConfig:
     def test_rejects_bad_burn_in(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RuleError) as excinfo:
             McmcConfig(iterations=100, burn_in=100)
+        assert excinfo.value.fields == ("iterations", "burn_in")
+        assert str(excinfo.value) == ("iterations, burn_in must satisfy "
+                                      "0 <= burn_in < iterations, or both 0")
         with pytest.raises(DomainError):
             McmcConfig(iterations=0, burn_in=10)
 
@@ -74,8 +77,10 @@ class TestModelValidation:
                                      dict(beta_mean=math.inf), dict(xi_high=0.3),
                                      dict(xi_low=0.0), dict(alpha_low=-0.2)])
     def test_rejects_bad_priors(self, bad):
-        with pytest.raises(DomainError):
-            toy_model(priors=PriorSpec(**bad))
+        # the record itself rejects the values, before any model is built
+        with pytest.raises(RuleError) as excinfo:
+            PriorSpec(**bad)
+        assert set(bad) <= set(excinfo.value.fields)
 
     def test_rejects_missing_simulated_cells(self):
         net = toy_network()
