@@ -12,7 +12,7 @@ import os
 # The sampler's matrix products are small, so OpenBLAS's own threads cost more than they
 # save: at 200x100x365 on 2 cores, two threads took 34.6 ms per sweep against 19.6 with one.
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# OpenBLAS reads its thread count once, when numpy or scipy loads it: before the imports below
+# OpenBLAS reads its thread count once, when numpy loads it: before the imports below
 if not any(name in os.environ for name in BLAS_THREAD_ENV):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

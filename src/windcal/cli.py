@@ -82,7 +82,8 @@ class RunConfig:
     target: EgpdParams | None = None
 
     def __post_init__(self):
-        check_rules([(("mode",), f"must be one of {'/'.join(MODES)}", self.mode in MODES)])
+        check_rules([(("mode",), f"must be one of {'/'.join(MODES)}", self.mode in MODES),
+                     (("output_dir",), "must not be empty", bool(self.output_dir))])
 
     @property
     def seed(self) -> int:
@@ -97,6 +98,12 @@ _KINDS = {prefix + f.name: {"str": str, "int": int, "float": float}[f.type]
 
 def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
     return DataValidationError(f"{where}: {key} = {text!r} {rule}")
+
+
+def _broken(raw: dict, prefix: str, exc: RuleError) -> DataValidationError:
+    """``exc`` naming the last of its rule's keys that the config sets, and that key's line."""
+    key = [k for k in raw if k in {prefix + f for f in exc.fields}][-1]
+    return _bad(raw[key][1], key, raw[key][0], exc.rule)
 
 
 def parse_config(path) -> RunConfig:
@@ -126,8 +133,6 @@ def parse_config(path) -> RunConfig:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
             raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
-        if key == "output_dir" and not value:
-            raise _bad(where, key, value, "must not be empty")
         try:
             values[key] = _KINDS[key](value)
         except ValueError:
@@ -144,12 +149,13 @@ def parse_config(path) -> RunConfig:
                 raise RuleError(fields, f"needs {' and '.join(missing)} set too")
             values[name] = record(**fields)
         except RuleError as exc:
-            # name the last of the rule's keys the file sets
-            key = [k for k in raw if k in {prefix + f for f in exc.fields}][-1]
-            raise _bad(raw[key][1], key, raw[key][0], exc.rule) from None
+            raise _broken(raw, prefix, exc) from None
     if unset := [key for key in _INPUT_KEYS if not values.get(key)]:
         raise DataValidationError(f"{path}: {unset[0]} not set")
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except RuleError as exc:
+        raise _broken(raw, "", exc) from None
 
 
 # ---------------------------------------------------------------------------

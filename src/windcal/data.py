@@ -188,7 +188,9 @@ _csv_row = csv.writer(_Echo()).writerow
 
 def _column_text(col, quoted: dict) -> list:
     """The CSV text of each cell of one column; ``quoted`` caches string cells."""
-    if np.ma.isMaskedArray(col):  # a masked cell is an empty field
+    # a masked cell is an empty field; only an ndarray subclass can be masked,
+    # and asking np.ma about a plain column would import numpy.ma
+    if isinstance(col, np.ndarray) and type(col) is not np.ndarray and np.ma.isMaskedArray(col):
         holes = np.ma.getmaskarray(col).tolist()
         return ["" if hole else text
                 for text, hole in zip(_column_text(col.data, quoted), holes)]

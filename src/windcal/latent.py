@@ -21,6 +21,9 @@ CORRELATION_FAMILIES = ("disc", "spherical", "exponential")
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
 
+# rows per diagonal block of the forward substitution in _solve_lower
+_SOLVE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class StationNetwork:
@@ -107,17 +110,36 @@ class CholFactor:
     jitter: float
 
     def quad_form(self, w: np.ndarray) -> float:
-        from scipy.linalg import solve_triangular
-
-        v = solve_triangular(self.lower, w, lower=True)
+        v = _solve_lower(self.lower, w)
         return float(v @ v)
 
     @cached_property
     def precision(self) -> np.ndarray:
         """Inverse of the (jittered) correlation matrix, from this factor; built on first use."""
-        from scipy.linalg import cho_solve
+        inv_lower = _solve_lower(self.lower)
+        return inv_lower.T @ inv_lower
 
-        return cho_solve((self.lower, True), np.eye(self.lower.shape[0]))
+
+def _solve_lower(lower: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """x with lower @ x = rhs, for lower triangular ``lower``, by blocked forward substitution.
+
+    With no ``rhs``, x is the inverse of ``lower``.  numpy has no triangular
+    solve, and np.linalg.solve on the whole factor is an O(n^3) LU.  Each
+    diagonal block is solved by np.linalg.solve and the rows below it are
+    updated by one matrix product, so a vector costs
+    O(n^2 + n * _SOLVE_BLOCK^2) in n / _SOLVE_BLOCK steps.
+    """
+    n = lower.shape[0]
+    x = np.eye(n) if rhs is None else np.array(rhs, dtype=float)
+    for i in range(0, n, _SOLVE_BLOCK):
+        j = min(i + _SOLVE_BLOCK, n)
+        # the inverse is lower triangular: in these rows and below, its
+        # columns from j on stay zero
+        cols = (slice(j),) if rhs is None else ()
+        head, below = (slice(i, j), *cols), (slice(j, None), *cols)
+        x[head] = np.linalg.solve(lower[i:j, i:j], x[head])
+        x[below] -= lower[j:, i:j] @ x[head]
+    return x
 
 
 def cholesky_correlation(corr: np.ndarray, alpha: float) -> CholFactor:
@@ -126,7 +148,8 @@ def cholesky_correlation(corr: np.ndarray, alpha: float) -> CholFactor:
     step = _JITTER_START
     while True:
         try:
-            lower = np.linalg.cholesky(corr + jitter * np.eye(corr.shape[0]))
+            # the first try factors corr itself: adding 0 * I copies it for nothing
+            lower = np.linalg.cholesky(corr + jitter * np.eye(corr.shape[0]) if jitter else corr)
             logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
             return CholFactor(lower=lower, logdet=logdet, jitter=jitter)
         except np.linalg.LinAlgError:

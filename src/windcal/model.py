@@ -413,16 +413,18 @@ class MwgSampler:
         self.adapting = True
         self.iteration = 0
         # a row's update takes the sampler, so the table holds no reference to
-        # it and a finished chain's sampler is freed as soon as it is dropped
-        margins, scalar, site = model.margins, math.log(0.1), math.log(0.3)
+        # it and a finished chain's sampler is freed as soon as it is dropped;
+        # a margin's rows hold its index in model.margins and look the margin
+        # up when they run, so they read the panels replace_data swaps in
+        margins, scalar, site = list(enumerate(model.margins)), math.log(0.1), math.log(0.3)
         self.blocks = [
-            *((getattr(mg, slot), methodcaller(f"_update_{slot}", mg), scalar)
-              for slot in ("beta", "kappa", "xi") for mg in margins),
+            *((getattr(mg, slot), methodcaller(f"_update_{slot}", k), scalar)
+              for slot in ("beta", "kappa", "xi") for k, mg in margins),
             ("alpha", methodcaller("_update_alpha"), scalar),
             *((name, methodcaller("_update_tau", name), scalar) for name in ("tau_w", "tau_z")),
             ("w", methodcaller("_update_w"), np.full(model.n_total, site)),
             ("z", methodcaller("_update_z"), np.full(model.n_times, site)),
-            *((mg.delta, methodcaller("_update_delta", mg), 0.0) for mg in margins)]
+            *((mg.delta, methodcaller("_update_delta", k), 0.0) for k, mg in margins)]
         self.log_scales, self.accept_counts, self.proposal_counts = {}, {}, {}
         for name, _, log_scale in self.blocks:
             self.log_scales[name] = log_scale
@@ -515,19 +517,22 @@ class MwgSampler:
         self._adapt(name, acc)
         return own[1] if acc else None
 
-    def _update_beta(self, mg: Margin):
+    def _update_beta(self, k: int):
         # beta -> beta + d scales every lambda of the margin by e^d
+        mg = self.model.margins[k]
         cur = getattr(self.state, mg.beta)
         e_beta, e_w, e_z, gap = self._rate_factors(mg)
         lam_gap = e_beta * (e_w @ gap @ e_z)
         self._metropolis(mg.beta, lambda prop: (
             gap.size * (prop - cur) - _expm1(prop - cur) * lam_gap, None))
 
-    def _update_kappa(self, mg: Margin):
+    def _update_kappa(self, k: int):
+        mg = self.model.margins[k]
         delta, xi, _ = mg.params(self.state)
         self._margin_step(mg, mg.kappa, lambda kappa: mg.loglik(delta, xi, kappa))
 
-    def _update_xi(self, mg: Margin):
+    def _update_xi(self, k: int):
+        mg = self.model.margins[k]
         delta, _, kappa = mg.params(self.state)
         self._margin_step(mg, mg.xi, lambda xi: mg.loglik(delta, xi, kappa))
 
@@ -631,8 +636,9 @@ class MwgSampler:
 
     # -- endpoint panels -------------------------------------------------------------
 
-    def _update_delta(self, mg: Margin):
+    def _update_delta(self, k: int):
         # a random walk on log(G) per cell; v_new - v is its log-Jacobian
+        mg = self.model.margins[k]
         s = self.state
         delta, xi, kappa = mg.params(s)
         e_beta, e_w, e_z, gap = self._rate_factors(mg)

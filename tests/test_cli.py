@@ -17,13 +17,14 @@ from windcal.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
     load_draws_npz,
     main,
     parse_config,
 )
 from windcal.data import load_field, load_network, load_panel
 from windcal.draws import SCALAR_NAMES, PosteriorDraws
-from windcal.errors import DataValidationError, NumericalError
+from windcal.errors import DataValidationError, NumericalError, RuleError
 from windcal.model import HierarchicalModel, McmcConfig, MwgSampler
 from windcal.predictive import day_densities
 
@@ -165,6 +166,14 @@ class TestConfigParsing:
         p.write_text(p.read_text().split("\n", 1)[1])  # drop the stations line
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{p} line 4: chains = '0' must be >= 1" in capsys.readouterr().err
+
+    def test_empty_output_dir_rejected_by_the_record(self, dataset):
+        # built from Python, as well as from a config line, so run() never
+        # reads an input for a run it cannot write
+        with pytest.raises(RuleError, match="^output_dir must not be empty$"):
+            RunConfig(stations=str(dataset / "stations.csv"),
+                      observed=str(dataset / "observed.csv"),
+                      simulated=str(dataset / "simulated.csv"), output_dir="")
 
     def test_line_without_equals_sign(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
@@ -815,7 +824,8 @@ class TestDeterminism:
 
 
 class TestImportFootprint:
-    """Only fit pays for scipy, and only for scipy.linalg's triangular solves."""
+    """No command loads scipy, and a marginal calibrate, whose writer gets no masked
+    column, loads no numpy.ma."""
 
     @pytest.fixture()
     def fitted(self, tmp_path, dataset):
@@ -833,12 +843,16 @@ class TestImportFootprint:
                                             ("marginal-parametric", TestMarginalModes.LAWS)])
     def test_marginal_calibrate_loads_no_scipy(self, tmp_path, dataset, mode, laws):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", mode=mode, **laws)
-        assert "scipy" not in loaded_modules(["calibrate", "--config", p])
+        modules = loaded_modules(["calibrate", "--config", p])
+        assert "scipy" not in modules
+        assert "numpy.ma" not in modules
 
-    def test_fit_loads_scipy_linalg_only(self, fitted):
+    def test_fit_and_hierarchical_calibrate_load_no_scipy(self, fitted, tmp_path, dataset):
         modules, _ = fitted
-        assert "scipy.linalg" in modules
-        assert "scipy.special" not in modules
+        assert "scipy" not in modules
+        p = write_config(tmp_path / "cal.cfg", dataset, tmp_path / "cal", mode="hierarchical",
+                         iterations=6, burn_in=2, thinning=1, chains=1)
+        assert "scipy" not in loaded_modules(["calibrate", "--config", p])
 
     def test_reading_a_fit_back_loads_no_scipy(self, fitted, tmp_path):
         _, out = fitted

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
 from windcal.errors import DataValidationError, DomainError
 from windcal.latent import (
     CORRELATION_FAMILIES,
+    _SOLVE_BLOCK,
     StationNetwork,
+    _solve_lower,
     cholesky_correlation,
     rw1_eigenvalues,
     rw1_logdensity,
@@ -110,6 +112,33 @@ class TestCholeskyAndDensity:
         c = np.ones((3, 3))  # rank one
         f = cholesky_correlation(c, 0.45)
         assert 0.0 < f.jitter <= 1e-6
+
+    @pytest.mark.parametrize("n, coincide", [
+        (1, False), (_SOLVE_BLOCK - 1, False), (_SOLVE_BLOCK, False), (_SOLVE_BLOCK + 1, False),
+        (200, False), (_SOLVE_BLOCK + 1, True)])
+    def test_blocked_solve_matches_scipy(self, n, coincide):
+        # sites in the unit square; two sites at one place make the
+        # correlation singular, so its factor needs jitter
+        rng = np.random.default_rng(n)
+        coords = rng.uniform(0.0, 1.0, size=(n, 2))
+        if coincide:
+            coords[1] = coords[0]
+        d = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+        f = cholesky_correlation(spatial_correlation(d, 0.3, "disc"), 0.3)
+        assert (f.jitter > 0.0) == coincide
+        w = rng.standard_normal(n)
+
+        def close(got, ref):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        # the solve, on a vector and on the identity, the inverse (no rhs),
+        # and the two uses of it
+        for rhs in (w, np.eye(n)):
+            close(_solve_lower(f.lower, rhs), linalg.solve_triangular(f.lower, rhs, lower=True))
+        close(_solve_lower(f.lower), linalg.solve_triangular(f.lower, np.eye(n), lower=True))
+        close(f.precision, linalg.cho_solve((f.lower, True), np.eye(n)))
+        v = linalg.solve_triangular(f.lower, w, lower=True)
+        assert f.quad_form(w) == pytest.approx(v @ v, rel=1e-12)
 
     def test_logdensity_matches_scipy(self):
         net = toy_network()

@@ -221,6 +221,25 @@ class TestTransforms:
                     stats.gamma.logpdf(x, shape, scale=1.0 / rate), rel=1e-13)
 
 
+def check_every_row(sampler) -> list:
+    """Make each row of ``sampler.blocks`` assert, after it runs, that the
+    sampler's cached log-posterior matches the model's full recompute; return
+    the list the rows append their names to."""
+    checked = []
+
+    def checking(name, update):
+        def run(sampler):
+            update(sampler)
+            assert sampler.log_posterior() == pytest.approx(
+                sampler.model.log_posterior(sampler.state), abs=1e-8), name
+            checked.append(name)
+        return run
+
+    sampler.blocks = [(name, checking(name, update), log_scale)
+                      for name, update, log_scale in sampler.blocks]
+    return checked
+
+
 class TestSampler:
     def test_cache_matches_full_recompute(self):
         # a complete panel and one with missing cells, during burn-in and
@@ -230,18 +249,7 @@ class TestSampler:
             m = toy_model(seed=1, n_times=n_times, missing_rate=missing_rate)
             assert np.isnan(m.y).any() == (missing_rate > 0)
             sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
-            checked = []
-
-            def checking(name, update):
-                def run(sampler):
-                    update(sampler)
-                    assert sampler.log_posterior() == pytest.approx(
-                        m.log_posterior(sampler.state), abs=1e-8), name
-                    checked.append(name)
-                return run
-
-            sampler.blocks = [(name, checking(name, update), log_scale)
-                              for name, update, log_scale in sampler.blocks]
+            checked = check_every_row(sampler)
             for adapting in (True, False):
                 sampler.adapting = adapting
                 for _ in range(25):
@@ -254,6 +262,23 @@ class TestSampler:
                 assert sampler.log_posterior() == pytest.approx(cached, abs=1e-10)
             # every row of the table, in order, in each of the 50 sweeps
             assert checked == [name for name, *_ in sampler.blocks] * 50
+
+    def test_rows_read_the_panels_replace_data_swaps_in(self):
+        # criterion 5 swaps fresh panels into the model before every sweep; a
+        # row that kept the margin of the panels its sampler was built on
+        # would compare their likelihood with the cache of the new ones
+        m = toy_model(seed=0, n_total=6, n_obs=4, n_times=8, missing_rate=0.2,
+                      priors=PriorSpec(kappa_shape=2.0, kappa_rate=0.5))
+        rng = np.random.default_rng(3)
+        state = m.sample_prior_state(rng)
+        m.replace_data(*m.sample_panels(state, rng))
+        sampler = MwgSampler(m, state, rng)
+        checked = check_every_row(sampler)
+        for _ in range(5):
+            m.replace_data(*m.sample_panels(sampler.state, rng))
+            sampler.refresh_cache()
+            sampler.sweep()
+        assert checked == [name for name, *_ in sampler.blocks] * 5
 
     def test_start_state_outside_endpoint_support_rejected(self):
         m = toy_model(seed=1)
