@@ -598,7 +598,7 @@ class MwgSampler:
                 s.w[i] += step
                 q_w += step * q[:, i]
                 acc[i] = True
-        self.quad_w = self.factor.quad_form(s.w)
+        self.quad_w = float(s.w @ q_w)
         self._adapt("w", acc)
 
     def _update_z(self):

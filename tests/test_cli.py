@@ -254,13 +254,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, literal, rule", BAD_VALUES,
                              ids=[f"{key}-{literal}" for key, literal, _ in BAD_VALUES])
     def test_bad_number_in_config_rejected_with_line(self, tmp_path, dataset, capsys,
-                                                     key, literal, rule):
+                                                     monkeypatch, key, literal, rule):
+        # run from tmp_path, where an empty output_dir would write the run's files
+        monkeypatch.chdir(tmp_path)
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", **{key: literal})
+        before = sorted(tmp_path.rglob("*"))
         assert main(["fit", "--config", str(p)]) == EXIT_DATA
         line = p.read_text().splitlines().index(f"{key} = {literal}") + 1
         assert capsys.readouterr().err == (
             f"windcal: data validation error: {p} line {line}: {key} = {literal!r} {rule}\n")
         assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("key, literal", [("figure_days", "0"), ("full_dump", "1")])
     def test_removed_key_rejected_with_line(self, tmp_path, dataset, capsys, key, literal):
@@ -870,11 +874,14 @@ class TestBlasThreadPin:
               "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
               "else 'unknown')")
 
-    def fresh_import(self, **env):
+    @staticmethod
+    def child_env(**env):
         # this process imported windcal, so its own environment already holds the pin
         base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                              env={**base, "PYTHONPATH": SRC, **env},
+        return {**base, "PYTHONPATH": SRC, **env}
+
+    def fresh_import(self, **env):
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=self.child_env(**env),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         return done.stdout.split()
@@ -890,3 +897,22 @@ class TestBlasThreadPin:
     def test_user_thread_count_wins(self, name):
         value, _ = self.fresh_import(**{name: "2"})
         assert value == ("2" if name == "OPENBLAS_NUM_THREADS" else "None")
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        d = tmp_path / "data"
+        assert main(["simulate", "--out-dir", str(d), "--n-stations", "8", "--n-observed", "5",
+                     "--n-times", "10", "--seed", "1", "--missing-rate", "0.2"]) == EXIT_OK
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"run-{threads}"
+            p = write_config(tmp_path / f"run-{threads}.cfg", d, out, iterations=20, burn_in=5,
+                             thinning=1, chains=2)
+            done = subprocess.run([sys.executable, "-m", "windcal.cli", "fit", "--config", str(p)],
+                                  env=self.child_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True)
+            assert done.returncode == EXIT_OK, done.stderr
+            assert json.loads((out / "manifest.json").read_text())["blas_threads_env"] == {
+                "OPENBLAS_NUM_THREADS": threads, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+            runs[threads] = out
+        for name in ("calibrated.csv", "posterior.csv", "logposterior.csv"):
+            assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
