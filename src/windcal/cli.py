@@ -58,8 +58,9 @@ _PATH_KEYS = (*_INPUT_KEYS, "output_dir")
 # a '#' at the start of a line or after whitespace, and the rest of the line
 _COMMENT = re.compile(r"(^|\s)#.*")
 
-# the words each word-valued key accepts
+# the words each word-valued key accepts, and the rule that names them
 _CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
+_WORD_RULES = {key: f"must be one of {'/'.join(words)}" for key, words in _CHOICES.items()}
 
 # RunConfig fields built from prefixed keys: (record, key prefix)
 _RECORDS = {"priors": (PriorSpec, "prior_"),
@@ -82,7 +83,7 @@ class RunConfig:
     target: EgpdParams | None = None
 
     def __post_init__(self):
-        check_rules([(("mode",), f"must be one of {'/'.join(MODES)}", self.mode in MODES),
+        check_rules([*(((k,), _WORD_RULES[k], getattr(self, k) in w) for k, w in _CHOICES.items()),
                      (("output_dir",), "must not be empty", bool(self.output_dir))])
 
     @property
@@ -132,7 +133,7 @@ def parse_config(path) -> RunConfig:
         if key not in _KINDS:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
         if key in _CHOICES and value not in _CHOICES[key]:
-            raise _bad(where, key, value, f"must be one of {'/'.join(_CHOICES[key])}")
+            raise _bad(where, key, value, _WORD_RULES[key])
         try:
             values[key] = _KINDS[key](value)
         except ValueError:

@@ -468,19 +468,20 @@ class MwgSampler:
     # -- bookkeeping ------------------------------------------------------------
 
     def _adapt(self, name, accepted):
-        """Count a block's outcomes and, during burn-in, tune its log-scale.
+        """While adapting, tune a block's log-scale; once adaptation stops, count its outcomes.
 
         ``accepted`` is one outcome or an array of them.  A scalar scale
         moves by the block's acceptance rate; a per-site scale array (w, z)
-        moves elementwise, one outcome per site.
+        moves elementwise, one outcome per site.  Outcomes reach
+        ``acceptance_rates`` only with ``adapting`` False, whatever drives the sampler.
         """
         if isinstance(accepted, np.ndarray):
             n, hits = accepted.size, float(np.count_nonzero(accepted))
         else:
             n, hits = 1, float(accepted)
-        self.proposal_counts[name] += n
-        self.accept_counts[name] += hits
         if not self.adapting:
+            self.proposal_counts[name] += n
+            self.accept_counts[name] += hits
             return
         gamma = (self.iteration + 1) ** -0.6
         scale = self.log_scales[name]
@@ -682,10 +683,6 @@ def run_chain(model: HierarchicalModel, cfg: McmcConfig, rng,
     for it in range(cfg.iterations):
         if it == cfg.burn_in:
             sampler.adapting = False
-            # acceptance statistics restart post burn-in
-            for k in sampler.accept_counts:
-                sampler.accept_counts[k] = 0.0
-                sampler.proposal_counts[k] = 0.0
         sampler.sweep()
         logpost.append(sampler.log_posterior())
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:

@@ -175,6 +175,17 @@ class TestConfigParsing:
                       observed=str(dataset / "observed.csv"),
                       simulated=str(dataset / "simulated.csv"), output_dir="")
 
+    @pytest.mark.parametrize("key, rule", [
+        ("mode", "must be one of marginal-empirical/marginal-parametric/hierarchical"),
+        ("correlation_family", "must be one of disc/spherical/exponential")])
+    def test_unknown_word_rejected_by_the_record(self, dataset, key, rule):
+        # a marginal run would never read the family, so the record must name it
+        with pytest.raises(RuleError, match=f"^{key} {rule}$"):
+            RunConfig(stations=str(dataset / "stations.csv"),
+                      observed=str(dataset / "observed.csv"),
+                      simulated=str(dataset / "simulated.csv"),
+                      **{"mode": "marginal-empirical", key: "foo"})
+
     def test_line_without_equals_sign(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
         p.write_text(p.read_text() + "iterations 20\n")

@@ -130,6 +130,19 @@ class TestModelValidation:
         with pytest.raises(DataValidationError):
             m.initialize_state()
 
+    @pytest.mark.parametrize("seed", [3, 8, 21, 24])
+    def test_year_long_panel_starts_with_the_default_truth(self, seed):
+        # 200 stations, 100 observed, 365 days, drawn as `windcal simulate`
+        # draws them; these seeds failed to start while the EGPD log-density
+        # lost precision next to the endpoint
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+        coords = rng.uniform(0.0, 300.0, size=(200, 2))
+        observed = np.zeros(200, dtype=bool)
+        observed[rng.choice(200, size=100, replace=False)] = True
+        net = StationNetwork.from_coords([f"st{i:03d}" for i in range(200)], coords, observed)
+        panel, _ = generate_synthetic(SyntheticTruth(), net, 365, seed=seed, missing_rate=0.1)
+        HierarchicalModel(panel.y, panel.x, net).initialize_state()
+
 
 class TestPosteriorKernel:
     def test_prior_state_has_finite_posterior(self):
@@ -368,9 +381,26 @@ class TestSampler:
         assert sampler.log_scales["beta_y"] == frozen["beta_y"]
         assert np.array_equal(sampler.log_scales["w"], frozen_w)
 
+    def test_proposals_count_only_once_adaptation_stops(self):
+        m = toy_model(seed=1, missing_rate=0.2)
+        sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
+        for _ in range(3):
+            sampler.sweep()
+        assert set(sampler.proposal_counts.values()) == {0.0}
+        assert set(sampler.accept_counts.values()) == {0.0}
+        sampler.adapting = False
+        sampler.sweep()
+        per_sweep = {"w": m.n_total, "z": m.n_times,
+                     "delta_y": sampler.state.delta_y.size, "delta_x": sampler.state.delta_x.size}
+        assert sampler.proposal_counts == {name: per_sweep.get(name, 1)
+                                           for name, _, _ in sampler.blocks}
+        for name, hits in sampler.accept_counts.items():
+            assert 0 <= hits <= sampler.proposal_counts[name], name
+
     def test_acceptance_rates_in_unit_interval(self):
         m = toy_model(seed=1)
         sampler = MwgSampler(m, m.initialize_state(), np.random.default_rng(0))
+        sampler.adapting = False
         for _ in range(20):
             sampler.sweep()
         for k, v in sampler.acceptance_rates().items():
