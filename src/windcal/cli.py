@@ -7,7 +7,8 @@ Config files are flat ``key = value`` text; ``#`` starts a comment at the
 start of a line or after whitespace, so a value may hold ``#``.  The path
 keys (stations, observed, simulated, output_dir) can be overridden by
 environment variables WINDCAL_STATIONS, WINDCAL_OBSERVED, WINDCAL_SIMULATED,
-WINDCAL_OUTPUT_DIR.  The three input keys have no default.
+WINDCAL_OUTPUT_DIR.  ``RunConfig`` holds every run rule; an input key left
+unset fails its rule.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ _PATH_KEYS = (*_INPUT_KEYS, "output_dir")
 # a '#' at the start of a line or after whitespace, and the rest of the line
 _COMMENT = re.compile(r"(^|\s)#.*")
 
-# the words each word-valued key accepts, and the rule that names them
+# the words each word-valued key accepts
 _CHOICES = {"mode": MODES, "correlation_family": CORRELATION_FAMILIES}
-_WORD_RULES = {key: f"must be one of {'/'.join(words)}" for key, words in _CHOICES.items()}
 
 # RunConfig fields built from prefixed keys: (record, key prefix)
 _RECORDS = {"priors": (PriorSpec, "prior_"),
@@ -71,9 +71,9 @@ _RECORDS = {"priors": (PriorSpec, "prior_"),
 
 @dataclass
 class RunConfig:
-    stations: str
-    observed: str
-    simulated: str
+    stations: str = ""
+    observed: str = ""
+    simulated: str = ""
     output_dir: str = "out"
     mode: str = "hierarchical"
     mcmc: McmcConfig = field(default_factory=McmcConfig)
@@ -83,8 +83,14 @@ class RunConfig:
     target: EgpdParams | None = None
 
     def __post_init__(self):
-        check_rules([*(((k,), _WORD_RULES[k], getattr(self, k) in w) for k, w in _CHOICES.items()),
-                     (("output_dir",), "must not be empty", bool(self.output_dir))])
+        # the run's rules, in the order a config error names them: a bad value
+        # before an unset input
+        check_rules([*(((k,), f"must be one of {'/'.join(w)}", getattr(self, k) in w)
+                       for k, w in _CHOICES.items()),
+                     (("output_dir",), "must not be empty", bool(self.output_dir)),
+                     (("mode",), "needs both laws: source_ and target_ delta, xi and kappa",
+                      self.mode != "marginal-parametric" or None not in (self.source, self.target)),
+                     *(((k,), "not set", bool(getattr(self, k))) for k in _INPUT_KEYS)])
 
     @property
     def seed(self) -> int:
@@ -101,10 +107,12 @@ def _bad(where: str, key: str, text: str, rule: str) -> DataValidationError:
     return DataValidationError(f"{where}: {key} = {text!r} {rule}")
 
 
-def _broken(raw: dict, prefix: str, exc: RuleError) -> DataValidationError:
-    """``exc`` naming the last of its rule's keys that the config sets, and that key's line."""
-    key = [k for k in raw if k in {prefix + f for f in exc.fields}][-1]
-    return _bad(raw[key][1], key, raw[key][0], exc.rule)
+def _broken(path, raw: dict, prefix: str, exc: RuleError) -> DataValidationError:
+    """``exc`` naming the last of its rule's keys that the config sets, and that key's line;
+    the config file itself when it sets none of them."""
+    if not (keys := [k for k in raw if k in {prefix + f for f in exc.fields}]):
+        return DataValidationError(f"{path}: {exc}")
+    return _bad(raw[keys[-1]][1], keys[-1], raw[keys[-1]][0], exc.rule)
 
 
 def parse_config(path) -> RunConfig:
@@ -132,8 +140,6 @@ def parse_config(path) -> RunConfig:
     for key, (value, where) in raw.items():
         if key not in _KINDS:
             raise DataValidationError(f"{where}: unknown config key {key!r}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise _bad(where, key, value, _WORD_RULES[key])
         try:
             values[key] = _KINDS[key](value)
         except ValueError:
@@ -150,13 +156,11 @@ def parse_config(path) -> RunConfig:
                 raise RuleError(fields, f"needs {' and '.join(missing)} set too")
             values[name] = record(**fields)
         except RuleError as exc:
-            raise _broken(raw, prefix, exc) from None
-    if unset := [key for key in _INPUT_KEYS if not values.get(key)]:
-        raise DataValidationError(f"{path}: {unset[0]} not set")
+            raise _broken(path, raw, prefix, exc) from None
     try:
         return RunConfig(**values)
     except RuleError as exc:
-        raise _broken(raw, "", exc) from None
+        raise _broken(path, raw, "", exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +238,6 @@ def _marginal_parametric_field(panel: PanelData, cfg: RunConfig) -> CalibratedFi
 def run(cfg: RunConfig) -> int:
     """Execute the configured pipeline: ingest -> fit/calibrate -> export."""
     t_start = time.perf_counter()
-    if cfg.mode == "marginal-parametric" and None in (cfg.source, cfg.target):
-        raise DataValidationError(
-            "marginal-parametric mode needs source_/target_ delta, xi, kappa in the config")
     net = load_network(cfg.stations)
     panel = load_panel(cfg.observed, cfg.simulated, net)
     # of the modes only marginal-parametric reads no observation
@@ -299,19 +300,21 @@ def _export_day(outdir, net, panel, values, day, plt=None):
     """Write one day's density and per-station tables of ``values``, and its plot given pyplot."""
     y_full = np.full(panel.x.shape, np.nan)
     y_full[net.observed_indices] = panel.y
-    densities = day_densities(values, y_full, panel.x, day)
+    grid, *curves = day_densities(values, y_full, panel.x, day)
     prefix = os.path.join(outdir, f"day{day:03d}")
+    # a day with no observation gets an empty observed density field
     write_table(prefix + "_kde.csv",
-                ["value", "dens_observed", "dens_simulated", "dens_calibrated"], [densities])
+                ["value", "dens_observed", "dens_simulated", "dens_calibrated"],
+                [[grid, *map(np.ma.masked_invalid, curves)]])
     # a station with no observation that day gets an empty observed field
     observed = np.ma.masked_invalid(y_full[:, day])
     write_table(prefix + "_stations.csv", ["station_id", "observed", "simulated", "calibrated"],
                 [[net.ids, observed, panel.x[:, day], values[:, day]]])
     if plt is not None:
-        grid, *curves = densities
         fig, ax = plt.subplots(figsize=(6, 4))
         for dens, label in zip(curves, ("observed", "simulated", "calibrated")):
-            ax.plot(grid, dens, label=label)
+            if not np.isnan(dens).all():
+                ax.plot(grid, dens, label=label)
         ax.set_xlabel("value")
         ax.set_ylabel("density")
         ax.legend()

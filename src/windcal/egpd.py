@@ -31,10 +31,8 @@ class GpdParams:
     xi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and np.isfinite(self.xi)):
-            raise DomainError("GPD parameters must be finite")
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        check_rules([(("sigma",), "must be finite and > 0", 0.0 < self.sigma < math.inf),
+                     (("xi",), "must be finite", -math.inf < self.xi < math.inf)])
 
     @property
     def endpoint(self) -> float:

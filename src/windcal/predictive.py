@@ -130,13 +130,16 @@ def day_densities(values, y_full, x, day: int) -> tuple:
 
     ``values`` is the calibrated panel and ``y_full`` the observed panel
     expanded to all stations (NaN rows for simulator-only stations).
-    Returns (grid, dens_observed, dens_simulated, dens_calibrated).
+    Returns (grid, dens_observed, dens_simulated, dens_calibrated); on a day
+    with no observation dens_observed is all NaN.
     """
     n_times = np.shape(x)[1]
     if not 0 <= day < n_times:
         raise DomainError(f"day {day} outside 0..{n_times - 1}")
     obs_day, sim_day, cal_day = (np.asarray(a, dtype=float)[:, day] for a in (y_full, x, values))
-    top = max(np.nanmax(obs_day) if np.any(~np.isnan(obs_day)) else 0.0,
-              sim_day.max(), cal_day.max())
+    observed = np.any(~np.isnan(obs_day))
+    top = max(np.nanmax(obs_day) if observed else 0.0, sim_day.max(), cal_day.max())
     grid = np.linspace(0.0, 1.3 * top + 1e-9, KDE_GRID_POINTS)
-    return (grid, *(gaussian_kde_1d(sample, grid)[0] for sample in (obs_day, sim_day, cal_day)))
+    dens_observed = gaussian_kde_1d(obs_day, grid)[0] if observed else np.full(grid.shape, np.nan)
+    return (grid, dens_observed, *(gaussian_kde_1d(sample, grid)[0]
+                                   for sample in (sim_day, cal_day)))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -161,11 +162,25 @@ class TestConfigParsing:
         assert f"{p}: {key} not set" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["stations", "observed", "simulated"])
+    def test_empty_input_rejected_by_the_record(self, dataset, key):
+        # built from Python, run() would fail in open('') and name no setting
+        inputs = {k: str(dataset / f"{k}.csv") for k in ("stations", "observed", "simulated")}
+        with pytest.raises(RuleError, match=f"^{key} not set$"):
+            RunConfig(**{**inputs, key: ""})
+
     def test_bad_value_named_before_an_unset_input(self, tmp_path, dataset, capsys):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", chains=0)
         p.write_text(p.read_text().split("\n", 1)[1])  # drop the stations line
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert f"{p} line 4: chains = '0' must be >= 1" in capsys.readouterr().err
+
+    def test_type_error_named_before_a_bad_word(self, tmp_path, dataset, capsys):
+        # keys and types are read in file order, then RunConfig checks its words
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
+                         mode="bogus", iterations="abc")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert f"{p} line 6: iterations = 'abc' is not a valid int" in capsys.readouterr().err
 
     def test_empty_output_dir_rejected_by_the_record(self, dataset):
         # built from Python, as well as from a config line, so run() never
@@ -260,7 +275,8 @@ class TestExitCodes:
         ("iterations", "0", "must satisfy 0 <= burn_in < iterations, or both 0"),
         ("burn_in", "5000", "must satisfy 0 <= burn_in < iterations, or both 0"),
         ("iterations", "-5", "must be >= 0"),
-        ("output_dir", "", "must not be empty")]
+        ("output_dir", "", "must not be empty"),
+        *((key, "", "not set") for key in ("stations", "observed", "simulated"))]
 
     @pytest.mark.parametrize("key, literal, rule", BAD_VALUES,
                              ids=[f"{key}-{literal}" for key, literal, _ in BAD_VALUES])
@@ -386,8 +402,15 @@ class TestMarginalModes:
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out",
                          mode="marginal-parametric")
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
-        assert "marginal-parametric mode needs" in capsys.readouterr().err
+        assert (f"{p} line 5: mode = 'marginal-parametric' needs both laws: "
+                "source_ and target_ delta, xi and kappa") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_marginal_parametric_without_laws_rejected_by_the_record(self, dataset):
+        with pytest.raises(RuleError, match="^mode needs both laws"):
+            RunConfig(stations=str(dataset / "stations.csv"),
+                      observed=str(dataset / "observed.csv"),
+                      simulated=str(dataset / "simulated.csv"), mode="marginal-parametric")
 
     # each bad law value and the rule its line must name
     BAD_LAWS = [("source_xi", "0.3", "must be finite and < 0 (endpoint form)"),
@@ -423,8 +446,10 @@ class TestMarginalModes:
         ("calibrate", {**LAWS, "target_delta": None}, 10,
          "target_kappa = '5.0' needs target_delta set too"),
         ("fit", {"target_xi": -0.07}, 6, "target_xi = '-0.07' needs target_delta and "
-                                         "target_kappa set too")],
-        ids=["deltas-only", "two-keys", "fit"])
+                                         "target_kappa set too"),
+        # fit runs hierarchical, but the config's own rules still hold
+        ("fit", {}, 5, "mode = 'marginal-parametric' needs both laws")],
+        ids=["deltas-only", "two-keys", "fit", "fit-no-law"])
     def test_partial_law_rejected_with_line(self, tmp_path, dataset, capsys, command, laws,
                                             line, missing):
         laws = {key: value for key, value in laws.items() if value is not None}
@@ -809,6 +834,48 @@ class TestHierarchicalPipeline:
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["export-figures", "--run-dir", str(tmp_path / "empty"),
                      "--day", "0"]) == EXIT_DATA
+
+
+class TestDayWithoutObservation:
+    """Few stations, many missing observations: some days have none."""
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path):
+        d = tmp_path / "data"
+        assert main(["simulate", "--out-dir", str(d), "--n-stations", "6", "--n-observed", "3",
+                     "--n-times", "20", "--seed", "2", "--missing-rate", "0.6"]) == EXIT_OK
+        net = load_network(d / "stations.csv")
+        assert np.isnan(load_panel(d / "observed.csv", d / "simulated.csv", net).y[:, 1]).all()
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "run.cfg", d, out, mode="marginal-empirical")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_OK
+        return out
+
+    def test_observed_density_written_empty(self, run_dir):
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_OK
+        kde = read_rows(run_dir / "day001_kde.csv")
+        assert len(kde) > 1 and all(row["dens_observed"] == "" for row in kde)
+        assert all(float(row["dens_simulated"]) >= 0 for row in kde)
+        assert all(row["observed"] == "" for row in read_rows(run_dir / "day001_stations.csv"))
+
+    def test_svg_leaves_out_the_observed_curve(self, run_dir, monkeypatch):
+        # a stand-in pyplot that records each curve's label
+        labels = []
+
+        def ignore(*args, **kwargs):
+            pass
+
+        axes = types.SimpleNamespace(plot=lambda x, y, label: labels.append(label),
+                                     set_xlabel=ignore, set_ylabel=ignore, legend=ignore)
+        figure = types.SimpleNamespace(savefig=lambda path: open(path, "w").close())
+        pyplot = types.SimpleNamespace(subplots=lambda figsize: (figure, axes), close=ignore)
+        monkeypatch.setitem(sys.modules, "matplotlib",
+                            types.SimpleNamespace(use=ignore, pyplot=pyplot))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1", "0",
+                     "--svg"]) == EXIT_OK
+        assert labels == ["simulated", "calibrated", "observed", "simulated", "calibrated"]
+        assert (run_dir / "day001_kde.svg").exists()
 
 
 class TestDeterminism:

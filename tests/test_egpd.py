@@ -50,6 +50,13 @@ class TestParams:
         with pytest.raises(DomainError):
             GpdParams(sigma=0.0, xi=-0.1)
 
+    @pytest.mark.parametrize("sigma, xi, field", [(0.0, -0.1, "sigma"), (math.inf, 0.1, "sigma"),
+                                                  (1.0, math.nan, "xi"), (1.0, -math.inf, "xi")])
+    def test_gpd_rule_names_its_field(self, sigma, xi, field):
+        with pytest.raises(RuleError) as excinfo:
+            GpdParams(sigma=sigma, xi=xi)
+        assert excinfo.value.fields == (field,)
+
     def test_gpd_endpoint_infinite_for_nonnegative_shape(self):
         assert GpdParams(sigma=1.0, xi=0.0).endpoint == math.inf
 

@@ -8,6 +8,7 @@ import pytest
 from scipy import special, stats
 
 from windcal.data import SyntheticTruth, generate_synthetic
+from windcal.draws import SCALAR_NAMES
 from windcal.errors import DataValidationError, DomainError, NumericalError, RuleError
 from windcal.latent import StationNetwork
 from windcal.model import (
@@ -405,6 +406,97 @@ class TestSampler:
             sampler.sweep()
         for k, v in sampler.acceptance_rates().items():
             assert 0.0 <= v <= 1.0, k
+
+
+# ---------------------------------------------------------------------------
+# per-row prior invariance (Geweke 2004, "Getting it right"; Talts et al. 2018)
+# ---------------------------------------------------------------------------
+
+# criterion 5's tightened priors, which keep forward-simulated data in float64
+INVARIANCE_PRIORS = PriorSpec(beta_precision=1.0, kappa_shape=2.0, kappa_rate=0.5,
+                              tau_shape=2.0, tau_rate=0.5)
+INVARIANCE_CHAINS = 250  # per row, each of INVARIANCE_STEPS steps
+INVARIANCE_STEPS = 10
+PRIOR_DRAWS = 4000
+
+
+def invariance_model():
+    """4 stations, 3 of them observed, 6 days, shifts of 2; the panels are placeholders
+    that every step replaces with a draw given the state."""
+    net = toy_network(n_total=4, n_obs=3, seed=0)
+    return HierarchicalModel(np.full((3, 6), 1.0), np.full((4, 6), 1.0), net,
+                             priors=INVARIANCE_PRIORS, shift_y=2.0, shift_x=2.0)
+
+
+def own_statistics(model, state) -> dict:
+    """Each block row's name -> {label: value} of the variables that row updates.
+
+    A row whose name is not here fails the check with a KeyError: a new row
+    must name the statistics it is checked on.
+    """
+    out = {name: {name: getattr(state, name)} for name in SCALAR_NAMES}
+    out["w"] = {"w[0]": state.w[0], "mean(w)": state.w.mean()}
+    out["z"] = {"z[0]": state.z[0], "z[T-1] - z[0]": state.z[-1] - state.z[0]}
+    for mg in model.margins:
+        delta = getattr(state, mg.delta)
+        out[mg.delta] = {f"{mg.delta}[0,0]": delta[0, 0],
+                         "mean log gap": np.log(delta - mg.shift).mean()}
+    return out
+
+
+_TOY = toy_model()
+ROW_NAMES = [name for name, _, _ in MwgSampler(
+    _TOY, _TOY.initialize_state(), np.random.default_rng(0)).blocks]
+PILOT_SS, PRIOR_SS, *ROW_SS = np.random.SeedSequence(20261020).spawn(2 + len(ROW_NAMES))
+
+
+@pytest.fixture(scope="module")
+def invariance_reference():
+    """(pilot log-scales, {row name: {label: forward prior draws}})."""
+    model = invariance_model()
+    # the pilot tunes the scales; the checked chains run with adaptation
+    # frozen, since an adaptive kernel need not preserve its target exactly
+    rng = np.random.default_rng(PILOT_SS)
+    state = model.sample_prior_state(rng)
+    model.replace_data(*model.sample_panels(state, rng))
+    pilot = MwgSampler(model, state, rng)
+    for _ in range(300):
+        model.replace_data(*model.sample_panels(pilot.state, rng))
+        pilot.refresh_cache()
+        pilot.sweep()
+    rng = np.random.default_rng(PRIOR_SS)
+    draws = [own_statistics(model, model.sample_prior_state(rng)) for _ in range(PRIOR_DRAWS)]
+    return pilot.log_scales, {row: {label: np.array([d[row][label] for d in draws])
+                                    for label in draws[0][row]} for row in draws[0]}
+
+
+@pytest.mark.parametrize("row", ROW_NAMES)
+def test_each_row_alone_keeps_the_prior(invariance_reference, row):
+    # a step draws panels given the state and runs one row on them; if the
+    # row leaves its target invariant, every state stays an exact prior draw,
+    # so each chain's last state is one independent prior sample
+    log_scales, reference = invariance_reference
+    index = ROW_NAMES.index(row)
+    model = invariance_model()
+    kept = {label: [] for label in reference[row]}
+    for ss in ROW_SS[index].spawn(INVARIANCE_CHAINS):
+        rng = np.random.default_rng(ss)
+        state = model.sample_prior_state(rng)
+        model.replace_data(*model.sample_panels(state, rng))  # panels the sampler can start on
+        sampler = MwgSampler(model, state, rng)
+        sampler.adapting = False
+        sampler.log_scales = {k: np.copy(v) if isinstance(v, np.ndarray) else v
+                              for k, v in log_scales.items()}
+        update = sampler.blocks[index][1]
+        for _ in range(INVARIANCE_STEPS):
+            model.replace_data(*model.sample_panels(sampler.state, rng))
+            sampler.refresh_cache()
+            update(sampler)
+        for label, value in own_statistics(model, sampler.state)[row].items():
+            kept[label].append(value)
+    pvalues = {label: stats.ks_2samp(values, reference[row][label]).pvalue
+               for label, values in kept.items()}
+    assert min(pvalues.values()) > 0.001, pvalues
 
 
 class TestRunMcmc:

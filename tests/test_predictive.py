@@ -163,6 +163,16 @@ class TestExportFigures:
         for dens, sample in zip(densities, (y_full, panel.x, field.values)):
             assert np.array_equal(dens, gaussian_kde_1d(sample[:, 1], grid)[0])
 
+    def test_day_without_observation_has_nan_observed_density(self):
+        net, panel, draws = small_fit()
+        field = calibrate_field(draws, panel.x, net.observed_indices, seed=1)
+        y_full = np.full(panel.x.shape, np.nan)
+        grid, dens_obs, *densities = day_densities(field.values, y_full, panel.x, day=1)
+        assert grid[-1] == 1.3 * max(panel.x[:, 1].max(), field.values[:, 1].max()) + 1e-9
+        assert np.isnan(dens_obs).all() and dens_obs.shape == grid.shape
+        for dens, sample in zip(densities, (panel.x, field.values)):
+            assert np.array_equal(dens, gaussian_kde_1d(sample[:, 1], grid)[0])
+
     def test_sigma_boxes(self):
         net, panel, draws = small_fit()
         box_y, box_x = sigma_boxes(draws)
