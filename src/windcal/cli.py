@@ -120,19 +120,23 @@ def parse_config(path) -> RunConfig:
         raise DataValidationError(f"config file not found: {path}")
     raw = {}  # key -> (value, where it was set)
     first = {}  # key -> its line in the file
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = _COMMENT.sub("", line, count=1).strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataValidationError(f"{path} line {lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in first:
-                raise DataValidationError(
-                    f"{path} line {lineno}: {key} set again (first on line {first[key]})")
-            first[key] = lineno
-            raw[key] = (value, f"{path} line {lineno}")
+    try:  # utf-8-sig: a UTF-8 file may start with a byte-order mark
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DataValidationError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = _COMMENT.sub("", line, count=1).strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataValidationError(f"{path} line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise DataValidationError(
+                f"{path} line {lineno}: {key} set again (first on line {first[key]})")
+        first[key] = lineno
+        raw[key] = (value, f"{path} line {lineno}")
     for key in _PATH_KEYS:
         if env := os.environ.get(f"WINDCAL_{key.upper()}"):
             raw[key] = (env, f"WINDCAL_{key.upper()}")

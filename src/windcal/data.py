@@ -1,6 +1,6 @@
 """Panel data: CSV ingestion, validation, and forward simulation.
 
-CSV schemas:
+CSV schemas (UTF-8 text, with or without a byte-order mark):
   stations file   station_id,x_km,y_km,observed      (observed in {0,1})
   panel files     station_id,date,value              (long form, YYYY-MM-DD;
                                                       finite values only;
@@ -53,21 +53,27 @@ class PanelData:
 
 def _read_rows(path, columns: tuple):
     """(line number, values of ``columns``) for each data row of a CSV file."""
-    with open(path, newline="") as fh:
+    # utf-8-sig: a UTF-8 file may start with a byte-order mark, as spreadsheets write one
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if not set(columns) <= set(header):
-            raise DataValidationError(f"{path} needs columns {sorted(columns)}")
-        index = [header.index(c) for c in columns]
-        pick = operator.itemgetter(*index)
-        width = max(index) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:  # a blank line; line_num still counts it
-                    continue
-                short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
-                raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
-            yield reader.line_num, pick(row)
+        try:
+            header = next(reader, [])
+            if not set(columns) <= set(header):
+                raise DataValidationError(f"{path} needs columns {sorted(columns)}")
+            index = [header.index(c) for c in columns]
+            pick = operator.itemgetter(*index)
+            width = max(index) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:  # a blank line; line_num still counts it
+                        continue
+                    short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
+                    raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
+                yield reader.line_num, pick(row)
+        except UnicodeDecodeError:
+            raise DataValidationError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataValidationError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def load_network(path) -> StationNetwork:
@@ -101,16 +107,23 @@ def _is_date(text: str) -> bool:
         return False
 
 
-def _read_long_panel(path, ids: dict, column="value"):
-    """Read station_id,date,<column> rows; returns {(id, date): value} and {date: first line}.
-    ``ids`` maps each station id the file may use to None, any other network id to why not."""
-    cells, dates = {}, {}
+def _read_long_panel(path, ids: dict, column="value", dates=None) -> dict:
+    """Read station_id,date,<column> rows into {(id, date): value}.
+    ``ids`` maps each station id the file may use to None, any other network id to why not;
+    ``dates``, when given, holds every date the file may use."""
+    allowed = None if dates is None else frozenset(dates)
+    cells, seen = {}, set()
     for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", column)):
         if refused := ids.get(sid, "not in the network"):
             raise DataValidationError(f"{path} line {lineno}: station {sid!r} {refused}")
-        if date not in dates and not _is_date(date):  # each date is checked on its first row
-            raise DataValidationError(
-                f"{path} line {lineno}: date {date!r} is not a YYYY-MM-DD date")
+        if date not in seen:  # each date is checked on its first row
+            if not _is_date(date):
+                raise DataValidationError(
+                    f"{path} line {lineno}: date {date!r} is not a YYYY-MM-DD date")
+            if allowed is not None and date not in allowed:
+                raise DataValidationError(
+                    f"{path} line {lineno}: date {date} outside the simulated range")
+            seen.add(date)
         try:
             val = float(value)
         except ValueError as exc:
@@ -123,50 +136,39 @@ def _read_long_panel(path, ids: dict, column="value"):
         if key in cells:
             raise DataValidationError(f"{path} line {lineno}: duplicate row for {key}")
         cells[key] = val
-        dates.setdefault(date, lineno)
-    return cells, dates
+    return cells
 
 
-def _check_dates(path, dates: dict, simulated_dates):
-    """Reject the first of ``dates`` (date -> first line) the simulated panel does not hold."""
-    # dates in order of first appearance: the first stray date is on the first stray row
-    for date, line in dates.items():
-        if date not in simulated_dates:
-            raise DataValidationError(f"{path} line {line}: date {date} outside the "
-                                      "simulated range")
-
-
-def _rectangle(path, what: str, cells: dict, ids, dates) -> np.ndarray:
-    """The (station, date) array of ``cells``; every cell must have a row."""
+def _rectangle(path, what: str, ids, column="value", dates=None):
+    """Read a long-form file that has a row for every (station, date) cell; returns
+    (array, dates), the dates being ``dates`` when given, else the file's own, sorted."""
+    cells = _read_long_panel(path, dict.fromkeys(ids), column, dates)
+    if not cells:
+        raise DataValidationError(f"{path}: no data rows")
+    if dates is None:
+        dates = tuple(sorted({date for _, date in cells}))
     grid = _grid(cells, ids, dates)
     if np.any(np.isnan(grid)):
         i, j = np.argwhere(np.isnan(grid))[0]
         raise DataValidationError(f"{path}: {what} is not a complete station-"
                                   f"by-date rectangle: no row for station {ids[i]!r} on {dates[j]}")
-    return grid
+    return grid, dates
 
 
 def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
-    """Load and align the two long-form panel CSVs against the network."""
-    obs_ids = [net.ids[i] for i in net.observed_indices]
-    y_cells, y_dates = _read_long_panel(observed_path, {
+    """Load the simulated panel, then the observed panel on its dates, against the network."""
+    x, dates = _rectangle(simulated_path, "simulated panel", net.ids)
+    y_cells = _read_long_panel(observed_path, {
         sid: None if flag else f"is not an observed station in {net.source}"
-        for sid, flag in zip(net.ids, net.observed)})
-    x_cells, x_dates = _read_long_panel(simulated_path, dict.fromkeys(net.ids))
-    if not x_cells:
-        raise DataValidationError(f"{simulated_path}: no data rows")
-    dates = tuple(sorted(x_dates))
-    x = _rectangle(simulated_path, "simulated panel", x_cells, net.ids, dates)
-    _check_dates(observed_path, y_dates, x_dates)
+        for sid, flag in zip(net.ids, net.observed)}, dates=dates)
+    obs_ids = [net.ids[i] for i in net.observed_indices]
     return PanelData(y=_grid(y_cells, obs_ids, dates), x=x, dates=dates)
 
 
 def load_field(path, column: str, net: StationNetwork, dates) -> np.ndarray:
     """One column of a long-form file written on the panel's grid, e.g. a run's
     calibrated.csv, as a complete (station, date) array."""
-    cells, file_dates = _read_long_panel(path, dict.fromkeys(net.ids), column)
-    _check_dates(path, file_dates, set(dates))
-    return _rectangle(path, f"{column} field", cells, net.ids, dates)
+    return _rectangle(path, f"{column} field", net.ids, column, dates)[0]
 
 
 def _grid(cells: dict, ids, dates) -> np.ndarray:
@@ -214,7 +216,7 @@ def write_table(path, header, blocks):
     Rows end in \\r\\n, as csv.writer's do.
     """
     quoted = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for columns in itertools.chain([[[name] for name in header]], blocks):
             text = [_column_text(col, quoted) for col in columns]
             if len(text) == 1:  # csv quotes a lone empty field, or the row would read as blank

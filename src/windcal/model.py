@@ -185,7 +185,7 @@ class Margin:
     """
 
     name: str
-    data: np.ndarray          # panel values, a placeholder in missing cells
+    data: np.ndarray          # panel values, NaN in missing cells
     mask: np.ndarray | None   # True where a value exists; None for a complete panel
     shift: float              # start of the shifted-exponential endpoint prior
     rows: np.ndarray          # station index of each panel row
@@ -198,8 +198,7 @@ class Margin:
     def of(cls, name: str, values, shift: float, rows) -> "Margin":
         missing = np.isnan(values)
         mask = ~missing if missing.any() else None
-        data = values if mask is None else np.where(mask, values, 0.5)
-        return cls(name, data, mask, shift, rows,
+        return cls(name, values, mask, shift, rows,
                    f"beta_{name}", f"kappa_{name}", f"xi_{name}", f"delta_{name}")
 
     def params(self, state: ModelState):

@@ -327,6 +327,55 @@ class TestExitCodes:
                 f"{dataset}/stations.csv") in capsys.readouterr().err
 
 
+class TestInputEncoding:
+    """Inputs are UTF-8 text, with or without a byte-order mark."""
+
+    OUTPUTS = ("calibrated.csv", "posterior.csv", "summary.csv", "acceptance.csv",
+               "logposterior.csv", "sigma_boxplot.csv", "draws.npz")
+
+    def test_byte_order_marks_change_no_output(self, tmp_path, dataset):
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name in ("stations.csv", "observed.csv", "simulated.csv"):
+            (marked / name).write_bytes(b"\xef\xbb\xbf" + (dataset / name).read_bytes())
+        runs = {}
+        for tag, data in (("plain", dataset), ("marked", marked)):
+            p = write_config(tmp_path / f"{tag}.cfg", data, tmp_path / tag, iterations=12,
+                             burn_in=4, thinning=2, chains=2, seed=5)
+            if tag == "marked":
+                p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+            assert main(["fit", "--config", str(p)]) == EXIT_OK
+            runs[tag] = tmp_path / tag
+        for name in self.OUTPUTS:
+            assert (runs["marked"] / name).read_bytes() == (runs["plain"] / name).read_bytes()
+
+    def test_latin1_csv_exits_2(self, tmp_path, dataset, capsys):
+        path = dataset / "stations.csv"
+        path.write_bytes(path.read_bytes().replace(b"st000", "Z\u00fcrich".encode("latin-1")))
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"windcal: data validation error: {path}: not UTF-8 text\n")
+
+    def test_latin1_config_exits_2(self, tmp_path, dataset, capsys):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        p.write_bytes(p.read_bytes() + "# Z\u00fcrich\n".encode("latin-1"))
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"windcal: data validation error: {p}: not UTF-8 text\n"
+
+    def test_oversized_field_exits_2_with_its_line(self, tmp_path, dataset, capsys):
+        path = dataset / "simulated.csv"
+        lines = path.read_text().splitlines()
+        sid, date, _ = lines[2].split(",")
+        lines[2] = f'{sid},{date},"{"1" * 200_000}"'
+        path.write_text("\n".join(lines) + "\n")
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err == ("windcal: data validation error: "
+                                           f"{path} line 3: field larger than field limit "
+                                           "(131072)\n")
+
+
 class TestStartState:
     # the chain starts at xi = -0.1 and alpha = 0.3 unless the prior box leaves them out
     @pytest.mark.parametrize("key, value", [("prior_xi_low", "-0.05"), ("prior_xi_high", "-0.2"),
@@ -804,6 +853,12 @@ class TestHierarchicalPipeline:
         path.write_text("\n".join(lines) + "\n")
         assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_DATA
         assert str(path) in capsys.readouterr().err
+
+    def test_export_figures_rejects_a_header_only_calibrated_csv(self, run_dir, capsys):
+        path = run_dir / "calibrated.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert main(["export-figures", "--run-dir", str(run_dir), "--day", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err == f"windcal: data validation error: {path}: no data rows\n"
 
     @pytest.mark.parametrize("case", ["truncated", "no_config"])
     def test_export_figures_rejects_a_bad_manifest(self, run_dir, capsys, case):

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +30,8 @@ from windcal.data import (
 )
 from windcal.errors import DataValidationError, DomainError
 from windcal.latent import StationNetwork
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def toy_network(n_total=4, n_obs=2, seed=0):
@@ -295,6 +300,46 @@ class TestLoadValidation:
         with pytest.raises(DataValidationError,
                            match=f"^{re.escape(str(obs))} line 3: date 2013-03-01 outside"):
             load_panel(obs, sim, net)
+
+    def test_stray_date_named_before_a_later_bad_row(self, tmp_path):
+        net = self._tiny_net(tmp_path)
+        obs = self._write(tmp_path / "o.csv", "station_id,date,value\na,2013-03-01,1.0\n"
+                          "a,2013-01-01,-1.0\n")
+        sim = self._write(tmp_path / "x.csv",
+                          "station_id,date,value\na,2013-01-01,1.0\nb,2013-01-01,1.0\n")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(obs))} line 2: "
+                           "date 2013-03-01 outside the simulated range$"):
+            load_panel(obs, sim, net)
+
+    @pytest.mark.parametrize("sim_text, rule", [
+        ("a,2013-01-01,1.0\nb,2013-01-01,nan\n", " line 3: non-finite value nan"),
+        ("", ": no data rows"),
+    ], ids=["bad-row", "no-rows"])
+    def test_simulated_error_named_before_an_observed_one(self, tmp_path, sim_text, rule):
+        net = self._tiny_net(tmp_path)
+        obs = self._write(tmp_path / "o.csv", "station_id,date,value\nzz,2013-01-01,1.0\n")
+        sim = self._write(tmp_path / "x.csv", "station_id,date,value\n" + sim_text)
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(sim))}{rule}$"):
+            load_panel(obs, sim, net)
+
+    def test_non_ascii_station_id_round_trips(self, tmp_path):
+        # the EncodingWarning turned error fails any open() that would use the locale's
+        # encoding, so the file reads back the same on any locale
+        script = ("import sys, numpy as np\n"
+                  "from windcal.data import load_network, write_network_csv\n"
+                  "from windcal.latent import StationNetwork\n"
+                  "ids = ['Z\\u00fcrich', '\\u0141\\u00f3d\\u017a', 'a']\n"
+                  "net = StationNetwork.from_coords(ids, np.array([[0., 0.], [3., 4.], "
+                  "[6., 0.]]), np.array([True, False, True]))\n"
+                  "write_network_csv(sys.argv[1], net)\n"
+                  "assert load_network(sys.argv[1]).ids == net.ids\n")
+        path = tmp_path / "s.csv"
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "Zürich,0.0,0.0,1\r\n".encode() in path.read_bytes()
 
 
 class TestGenerateSynthetic:
