@@ -260,7 +260,7 @@ def run(cfg: RunConfig) -> int:
         field_ = _marginal_parametric_field(panel, cfg)
     else:
         draws = run_mcmc(model, cfg.mcmc)
-        field_ = calibrate_field(draws, panel.x, net.observed_indices, seed=cfg.seed)
+        field_ = calibrate_field(draws, panel, net.observed_indices)
 
     _write_calibrated_csv(os.path.join(cfg.output_dir, "calibrated.csv"), net, panel, field_)
     manifest = {

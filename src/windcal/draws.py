@@ -105,6 +105,8 @@ def load_draws_npz(path) -> PosteriorDraws:
     # a text or pickle file, an empty file, a truncated or corrupt archive
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataValidationError(f"{path}: not a readable draws.npz archive") from exc
+    if arrays["chain"].size == 0:
+        raise DataValidationError(f"{path}: no draws in the archive")
     return PosteriorDraws(
         scalars={name: arrays[f"scalar_{name}"] for name in SCALAR_NAMES},
         **{name: arrays[name] for name in ARRAYS},

@@ -218,11 +218,6 @@ def rates(beta, w_rows, z):
         return np.exp(eta)
 
 
-def endpoint_draw(rng, shift, lam):
-    """Endpoints from the shifted-exponential prior: shift + Exponential(rate lam)."""
-    return shift + rng.exponential(1.0 / lam)
-
-
 # where a chain starts, by scalar family (the part of the name before "_")
 _START = {"beta": 0.0, "kappa": 1.0, "xi": -0.1, "alpha": 0.3, "tau": 1.0}
 
@@ -357,7 +352,7 @@ class HierarchicalModel:
         w = sample_spatial_field(self.chol_factor(draw["alpha"]), draw["tau_w"], rng)
         z = sample_rw1_constrained(self.n_times, draw["tau_z"], rng)
         for mg in self.margins:
-            draw[mg.delta] = endpoint_draw(rng, mg.shift, rates(draw[mg.beta], w[mg.rows], z))
+            draw[mg.delta] = mg.shift + rng.exponential(1.0 / rates(draw[mg.beta], w[mg.rows], z))
         return ModelState(w=w, z=z, **draw)
 
     def sample_panels(self, state: ModelState, rng):

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import conditional_map
+from .data import PanelData
 from .draws import SCALAR_NAMES, PosteriorDraws
 from .errors import DomainError
-from .model import endpoint_draw, rates
+from .model import rates
 
 KDE_GRID_POINTS = 256  # where each day's densities are evaluated
 SUMMARY_COLUMNS = ("mean", "sd", "q2.5", "median", "q97.5", "min", "max")
@@ -32,46 +33,45 @@ class CalibratedField:
         return self.clamp_fraction > 0
 
 
-def calibrate_field(draws: PosteriorDraws, x, obs_idx, seed: int = 0) -> CalibratedField:
-    """Predictive-mean quantile-matching map applied cell by cell.
+def calibrate_field(draws: PosteriorDraws, panel: PanelData, obs_idx) -> CalibratedField:
+    """Posterior-mean quantile-matching map applied cell by cell.
 
-    For stations with observations the target law of a cell uses that
-    station's sampled endpoint; simulator-only stations get target endpoints
-    drawn from the shifted-exponential prior under the shared latent fields
-    (one draw per posterior draw, from a dedicated RNG stream).
+    A cell with an observation targets the chain's endpoint of each draw; any
+    other cell targets its endpoint's mean given the draw, shift_y + 1/lambda,
+    which is exact since the map is linear in the target endpoint. ``sd`` is
+    the predictive sd, so it adds that endpoint's spread, (value/delta/lambda)^2
+    per draw. The field is a function of the draws and the panels alone.
     """
     if draws.n_draws == 0:
         raise DomainError("empty posterior draws")
-    x = np.asarray(x, dtype=float)
-    n_total, n_times = x.shape
-    if draws.delta_x.shape[1:] != (n_total, n_times):
+    if (draws.delta_y.shape[1:], draws.delta_x.shape[1:]) != (panel.y.shape, panel.x.shape):
         raise DomainError("panel shape does not match the draws")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     obs_idx = np.asarray(obs_idx, dtype=int)
+    seen = np.zeros(panel.x.shape, dtype=bool)
+    seen[obs_idx] = ~np.isnan(panel.y)
 
     # Welford's running mean and sum of squared deviations: E[x^2] - E[x]^2
     # cancels catastrophically when the draws nearly agree
     nd = draws.n_draws
-    mean = np.zeros((n_total, n_times))
-    sq_dev = np.zeros((n_total, n_times))
-    clamp_count = np.zeros((n_total, n_times))
-    # target endpoints of one draw: observed rows from the chain,
-    # simulator-only rows from the endpoint prior given the latents
-    delta_y = np.empty((n_total, n_times))
-    sim_only = np.setdiff1d(np.arange(n_total), obs_idx)
+    mean = np.zeros(panel.x.shape)
+    sq_dev = np.zeros(panel.x.shape)
+    spread = np.zeros(panel.x.shape)  # the endpoints' variance terms, summed over draws
+    clamp_count = np.zeros(panel.x.shape)
+    delta_y = np.empty(panel.x.shape)  # target endpoints of one draw
     beta_y = draws.scalars["beta_y"]
     for d in range(nd):
-        delta_y[obs_idx] = draws.delta_y[d]
-        if sim_only.size:
-            lam = rates(beta_y[d], draws.w[d, sim_only], draws.z[d])
-            delta_y[sim_only] = endpoint_draw(rng, draws.shift_y, lam)
+        lam = rates(beta_y[d], draws.w[d], draws.z[d])
+        np.add(draws.shift_y, 1.0 / lam, out=delta_y)
+        delta_y[obs_idx] = np.where(seen[obs_idx], draws.delta_y[d], delta_y[obs_idx])
         xs, clamped = conditional_map(
-            x, draws.delta_x[d], draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
+            panel.x, draws.delta_x[d], draws.scalars["xi_x"][d], draws.scalars["kappa_x"][d],
             delta_y, draws.scalars["xi_y"][d], draws.scalars["kappa_y"][d])
         dev = xs - mean
         mean += dev / (d + 1)
         sq_dev += dev * (xs - mean)
+        spread += (xs / (draws.shift_y * lam + 1.0)) ** 2  # value / delta / lambda
         clamp_count += clamped
+    sq_dev += np.where(seen, 0.0, spread)
     return CalibratedField(values=mean, sd=np.sqrt(sq_dev / nd),
                            clamp_fraction=clamp_count / nd)
 

@@ -24,7 +24,7 @@ from windcal.cli import (
     parse_config,
 )
 from windcal.data import load_field, load_network, load_panel
-from windcal.draws import SCALAR_NAMES, PosteriorDraws
+from windcal.draws import ARRAYS, SCALAR_NAMES, PosteriorDraws, save_draws_npz
 from windcal.errors import DataValidationError, NumericalError, RuleError
 from windcal.model import HierarchicalModel, McmcConfig, MwgSampler
 from windcal.predictive import day_densities
@@ -740,6 +740,17 @@ class TestHierarchicalPipeline:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert ("'z'" in err) == (case == "no_z")
+
+    def test_archive_without_draws_exits_2(self, saved_draws, tmp_path, capsys):
+        _, draws = saved_draws
+        empty = tmp_path / "empty.npz"
+        save_draws_npz(empty, dataclasses.replace(
+            draws, scalars={k: v[:0] for k, v in draws.scalars.items()},
+            **{name: getattr(draws, name)[:0] for name in ARRAYS}))
+        assert main(["summarize", "--draws", str(empty), "--out", str(tmp_path / "t.csv")]) \
+            == EXIT_DATA
+        assert f"{empty}: no draws in the archive" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_run_writes_the_values_behind_it(self, run_dir, dataset):
         draws = load_draws_npz(run_dir / "draws.npz")
