@@ -43,7 +43,7 @@ from .egpd import EgpdParams
 from .errors import (DataValidationError, DomainError, NumericalError, RuleError, WindcalError,
                      check_rules)
 from .latent import CORRELATION_FAMILIES, StationNetwork
-from .model import HierarchicalModel, McmcConfig, PriorSpec, run_mcmc
+from .model import HierarchicalModel, McmcConfig, PriorSpec, chain_workers, run_mcmc
 from .predictive import (SUMMARY_COLUMNS, CalibratedField, calibrate_field, day_densities,
                          sigma_boxes, summarize_posterior)
 
@@ -283,6 +283,7 @@ def run(cfg: RunConfig) -> int:
         # null for a block that made no proposal (a zero-iteration run)
         manifest["acceptance"] = {k: None if np.isnan(v) else float(v)
                                   for k, v in draws.acceptance.items()}
+        manifest["chain_workers"] = chain_workers(cfg.mcmc.chains)
         _export_sigma_boxplot(cfg.output_dir, draws)
     manifest["wall_time_s"] = time.perf_counter() - t_start
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:

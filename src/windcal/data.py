@@ -298,7 +298,7 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
     state = model.sample_latents({name: getattr(truth, name) for name in SCALAR_NAMES}, rng)
     y, x = model.sample_panels(state, rng)
     if missing_rate > 0:
-        drop = rng.uniform(size=y.shape) < missing_rate
+        drop = rng.random(y.shape) < missing_rate
         # keep at least one observation per station so empirical baselines work
         for r in range(y.shape[0]):
             if drop[r].all():

@@ -153,7 +153,7 @@ def egpd_logpdf_kernel(y, delta, xi, kappa):
 
 def egpd_draw(rng, delta, xi, kappa):
     """One draw per cell of ``delta``, kept strictly inside the open support (0, delta)."""
-    vals = egpd_quantile_kernel(rng.uniform(size=np.shape(delta)), delta, xi, kappa)
+    vals = egpd_quantile_kernel(rng.random(np.shape(delta)), delta, xi, kappa)
     # rounding can otherwise land exactly on 0 or the endpoint and zero out
     # the likelihood
     return np.clip(vals, delta * 1e-12, delta * (1.0 - 1e-12))

@@ -25,6 +25,10 @@ class RuleError(DomainError):
         self.fields = tuple(fields)
         self.rule = rule
 
+    def __reduce__(self):
+        # Exception pickles its message alone, which __init__ cannot take back
+        return type(self), (self.fields, self.rule)
+
 
 def check_rules(rows) -> None:
     """Raise a RuleError for the first (fields, rule, holds) row that does not hold."""

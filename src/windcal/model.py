@@ -10,6 +10,10 @@ burn-in.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from operator import methodcaller
 from typing import Callable, NamedTuple
@@ -18,7 +22,7 @@ import numpy as np
 
 from .draws import SCALAR_NAMES, STATE_ARRAYS, PosteriorDraws
 from .egpd import egpd_draw, egpd_logpdf_kernel
-from .errors import DataValidationError, NumericalError, check_rules
+from .errors import DataValidationError, NumericalError, WindcalError, check_rules
 from .latent import (
     CholFactor,
     cholesky_correlation,
@@ -489,7 +493,7 @@ class MwgSampler:
     def _accept(self, log_ratio) -> bool:
         if not math.isfinite(log_ratio):
             return False
-        return math.log(self.rng.uniform()) < log_ratio
+        return math.log(self.rng.random()) < log_ratio
 
     # -- scalar updates -----------------------------------------------------------
 
@@ -647,7 +651,7 @@ class MwgSampler:
         with np.errstate(invalid="ignore", over="ignore"):
             log_ratio = (ll_new - ll) - e_beta * np.outer(e_w, e_z) * (gap_new - gap) \
                 + (v_new - v)
-        log_u = np.log(self.rng.uniform(size=v.shape))
+        log_u = np.log(self.rng.random(v.shape))
         acc = ok & np.isfinite(log_ratio) & (log_u < log_ratio)
         setattr(s, mg.delta, np.where(acc, delta_new, delta))
         self.ll[mg.name] = np.where(acc, ll_new, ll)
@@ -687,9 +691,95 @@ def run_chain(model: HierarchicalModel, cfg: McmcConfig, rng,
         shift_y=model.shift_y, shift_x=model.shift_x)
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def chain_workers(chains: int) -> int:
+    """Processes that run_mcmc spreads ``chains`` chains over: one per usable core, at most."""
+    return min(chains, _usable_cores())
+
+
+def _fork_worker(job):
+    """Fork a child that runs ``job()``; return its pid and the read end of its pipe.
+
+    The child pickles ("ok", result) or ("err", exception) to the pipe and
+    leaves by os._exit, so it never returns into the caller's stack, atexit
+    hooks or buffered output.  It writes nothing if the pickling fails.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = ("ok", job())
+            except BaseException as exc:  # interrupts too: the caller re-raises it
+                result = ("err", exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _worker_result(payload: bytes, status: int, chains):
+    """A reaped worker's chains; its exception is raised unchanged."""
+    if status != 0:
+        # killed, or its result could not be pickled: the worker exits 0 only once written
+        named = ", ".join(map(str, chains))
+        raise WindcalError(f"the worker of chain{'s' if len(chains) > 1 else ''} {named} "
+                           f"ended without a result (wait status {status})")
+    kind, value = pickle.loads(payload)
+    if kind == "err":
+        raise value
+    return value
+
+
 def run_mcmc(model: HierarchicalModel, cfg: McmcConfig) -> PosteriorDraws:
-    """Run cfg.chains independent chains (split RNG streams) and merge draws."""
+    """Run cfg.chains independent chains (split RNG streams) and merge draws.
+
+    Chain c runs in worker c mod W, W = chain_workers(cfg.chains).  Worker 0
+    is the calling process; the others are forked before it starts its own
+    chains.  Each chain draws from its own SeedSequence child, so the draws do
+    not depend on W.
+    """
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    parts = [run_chain(model, cfg, np.random.default_rng(ss), chain_index=c)
-             for c, ss in enumerate(seeds)]
-    return PosteriorDraws.merge(parts)
+    n_workers = chain_workers(cfg.chains)
+
+    def chains_of(k):
+        return range(k, cfg.chains, n_workers)
+
+    def run_worker(k):
+        return [run_chain(model, cfg, np.random.default_rng(seeds[c]), chain_index=c)
+                for c in chains_of(k)]
+
+    forked = []  # (worker, pid, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, n_workers):
+            forked.append((k, *_fork_worker(lambda k=k: run_worker(k))))
+        parts = [run_worker(0)]  # each worker's chains, by worker
+        while forked:
+            k, pid, pipe = forked[0]
+            # read to EOF before waiting: a result larger than the pipe's
+            # buffer keeps the child blocked in its write until it is read
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del forked[0]
+            parts.append(_worker_result(payload, status, chains_of(k)))
+    finally:
+        # a chain failed or the caller was interrupted: stop and reap every worker left
+        for _, pid, pipe in forked:
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return PosteriorDraws.merge([parts[c % n_workers][c // n_workers]
+                                 for c in range(cfg.chains)])

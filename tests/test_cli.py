@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from windcal import BLAS_THREAD_ENV, cli
+from windcal import model as windcal_model
 from windcal.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -26,7 +27,7 @@ from windcal.cli import (
 from windcal.data import load_field, load_network, load_panel
 from windcal.draws import ARRAYS, SCALAR_NAMES, PosteriorDraws, save_draws_npz
 from windcal.errors import DataValidationError, NumericalError, RuleError
-from windcal.model import HierarchicalModel, McmcConfig, MwgSampler
+from windcal.model import HierarchicalModel, McmcConfig, MwgSampler, chain_workers
 from windcal.predictive import day_densities
 
 
@@ -227,6 +228,25 @@ class TestExitCodes:
                          burn_in=1, thinning=1)
         assert main(["fit", "--config", str(p)]) == EXIT_NUMERIC
         assert "windcal: numerical failure: chain diverged" in capsys.readouterr().err
+
+    def test_numerical_failure_in_a_chain_worker_exits_3(self, tmp_path, dataset, capsys,
+                                                         monkeypatch):
+        caller, real = os.getpid(), windcal_model.run_chain
+
+        def run_chain(model, cfg, rng, chain_index=0):
+            if chain_index == 1 and os.getpid() != caller:
+                raise NumericalError("chain 1 diverged in its worker")
+            return real(model, cfg, rng, chain_index)
+
+        monkeypatch.setattr(windcal_model, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(windcal_model, "run_chain", run_chain)
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out", iterations=4,
+                         burn_in=1, thinning=1, chains=2)
+        assert main(["fit", "--config", str(p)]) == EXIT_NUMERIC
+        assert "windcal: numerical failure: chain 1 diverged in its worker" in \
+            capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_data_error(self, tmp_path, dataset):
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
@@ -644,6 +664,7 @@ class TestHierarchicalPipeline:
                                               "chains": 2, "seed": 3}
         assert "windcal" in manifest["versions"]
         assert "acceptance" in manifest and "wall_time_s" in manifest
+        assert manifest["chain_workers"] == chain_workers(2)
         # the BLAS thread variables as the run saw them: importing windcal sets one if none is
         assert manifest["blas_threads_env"] == {name: os.environ.get(name)
                                                 for name in BLAS_THREAD_ENV}
@@ -659,6 +680,20 @@ class TestHierarchicalPipeline:
         blocks = [name for name, *_ in sampler.blocks]
         assert [r["block"] for r in read_rows(run_dir / "acceptance.csv")] == blocks
         assert manifest["acceptance"].keys() == set(blocks)
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, dataset, monkeypatch):
+        outs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(windcal_model, "_usable_cores", lambda: cores)
+            out = tmp_path / f"cores-{cores}"
+            p = write_config(tmp_path / f"cores-{cores}.cfg", dataset, out, iterations=30,
+                             burn_in=10, thinning=2, chains=2, seed=3)
+            assert main(["fit", "--config", str(p)]) == EXIT_OK
+            assert strict_json(out / "manifest.json")["chain_workers"] == cores
+            outs[cores] = out
+        for name in ("calibrated.csv", "posterior.csv", "summary.csv", "acceptance.csv",
+                     "logposterior.csv", "sigma_boxplot.csv", "draws.npz"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
     def test_zero_iteration_fit_writes_strict_json(self, tmp_path, dataset):
         # no block made a proposal: acceptance.csv holds nan, the manifest null

@@ -1,15 +1,20 @@
 """Unit tests for the hierarchical model and its Metropolis-within-Gibbs sampler."""
 
+import dataclasses
 import math
+import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from windcal import model as windcal_model
 from windcal.data import SyntheticTruth, generate_synthetic
 from windcal.draws import SCALAR_NAMES
-from windcal.errors import DataValidationError, DomainError, NumericalError, RuleError
+from windcal.errors import DataValidationError, DomainError, NumericalError, RuleError, WindcalError
 from windcal.latent import StationNetwork
 from windcal.model import (
     HierarchicalModel,
@@ -21,6 +26,7 @@ from windcal.model import (
     _gamma,
     _log_jac_box,
     _logit_box,
+    chain_workers,
     run_mcmc,
 )
 
@@ -540,3 +546,106 @@ class TestRunMcmc:
         assert len(got) == 2
         for g, e in zip(got, expect):
             assert np.array_equal(g, e)
+
+
+def assert_same_draws(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, dict):
+            assert list(x) == list(y), f.name
+            x, y = list(x.values()), list(y.values())
+        assert np.array_equal(x, y, equal_nan=True), f.name
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChainWorkers:
+    """run_mcmc runs chain c in worker c mod W: worker 0 is the caller, the rest forked children."""
+
+    @pytest.fixture()
+    def cores(self, monkeypatch):
+        def set_cores(n):
+            monkeypatch.setattr(windcal_model, "_usable_cores", lambda: n)
+        return set_cores
+
+    @pytest.fixture()
+    def chain_runner(self, monkeypatch):
+        """Replace run_chain by ``fn(chain_index, in_caller)``, falling back to the real chain."""
+        caller, real = os.getpid(), windcal_model.run_chain
+
+        def install(fn):
+            def run_chain(model, cfg, rng, chain_index=0):
+                fn(chain_index, os.getpid() == caller)
+                return real(model, cfg, rng, chain_index)
+            monkeypatch.setattr(windcal_model, "run_chain", run_chain)
+        return install
+
+    def test_worker_count(self, cores):
+        cores(2)
+        assert [chain_workers(c) for c in (1, 2, 3)] == [1, 2, 2]
+        cores(1)
+        assert chain_workers(3) == 1
+
+    # chains = 3 puts chain 2 in worker 0 after chain 0; 400 kept draws pickle to
+    # more than a pipe's 64 KiB buffer
+    @pytest.mark.parametrize("chains, iterations, thinning",
+                             [(2, 20, 2), (3, 20, 2), (2, 0, 1), (2, 405, 1)])
+    def test_draws_do_not_depend_on_the_worker_count(self, cores, chains, iterations, thinning):
+        m = toy_model(seed=1, missing_rate=0.3)
+        cfg = McmcConfig(iterations=iterations, burn_in=5 if iterations else 0,
+                         thinning=thinning, chains=chains, seed=5)
+        runs = []
+        for n in (1, 2):
+            cores(n)
+            runs.append(run_mcmc(m, cfg))
+            assert_no_child_left()
+        assert_same_draws(*runs)
+        assert np.array_equal(np.unique(runs[1].chain), np.arange(chains))
+        assert np.all(np.diff(runs[1].chain) >= 0)
+
+    @pytest.mark.parametrize("error", [NumericalError("chain 1 diverged"),
+                                       RuleError(("alpha",), "must be > 0")],
+                             ids=lambda e: type(e).__name__)
+    def test_a_worker_error_reaches_the_caller(self, cores, chain_runner, error):
+        def fail_in_worker(c, in_caller):
+            if c == 1 and not in_caller:
+                raise error
+
+        cores(2)
+        chain_runner(fail_in_worker)
+        with pytest.raises(type(error)) as excinfo:
+            run_mcmc(toy_model(seed=1), McmcConfig(iterations=10, burn_in=2, thinning=1))
+        assert str(excinfo.value) == str(error)
+        assert getattr(excinfo.value, "fields", None) == getattr(error, "fields", None)
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_is_named(self, cores, chain_runner):
+        def die_in_worker(c, in_caller):
+            if not in_caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        cores(2)
+        chain_runner(die_in_worker)
+        with pytest.raises(WindcalError,
+                           match=r"^the worker of chain 1 ended without a result \(wait status 9\)$"):
+            run_mcmc(toy_model(seed=1), McmcConfig(iterations=10, burn_in=2, thinning=1, chains=3))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [NumericalError("caller's chain failed"), KeyboardInterrupt()],
+                             ids=lambda e: type(e).__name__)
+    def test_no_worker_outlives_a_failed_caller(self, cores, chain_runner, error):
+        def fail_in_caller(c, in_caller):
+            if in_caller:
+                raise error
+            time.sleep(60)  # outlives the test unless the caller kills it
+
+        cores(2)
+        chain_runner(fail_in_caller)
+        start = time.perf_counter()
+        with pytest.raises(type(error)):
+            run_mcmc(toy_model(seed=1), McmcConfig(iterations=10, burn_in=2, thinning=1))
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
