@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,49 +52,137 @@ class PanelData:
         return np.isnan(self.y).mean(axis=1)
 
 
-def _read_rows(path, columns: tuple):
-    """(line number, values of ``columns``) for each data row of a CSV file."""
+# Characters read from a CSV file at a time, plus the rest of the last line.  Every
+# buffer a chunk needs stays below 128 KiB: glibc raises its mmap threshold when a
+# larger block is freed, and the sampler's later arrays would then grow the heap.
+_CHUNK = 1 << 16
+# every byte but the comma and the two line-end characters, which UTF-8 writes for no
+# other character
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\r\n")))
+
+
+def _split(chunk: str, width: int):
+    """The cells of a chunk's lines, row after row, or None when csv.reader must read it:
+    it holds a quote, a NUL, line ends other than all \\n or all \\r\\n, or a line
+    without width - 1 commas (a blank line among them: every file read has three or
+    more columns)."""
+    if '"' in chunk or "\0" in chunk:
+        return None
+    eol = "\r\n" if "\r" in chunk else "\n"
+    # the commas and line ends of the chunk, in order, must repeat those of one line
+    # (the file's last line may lack its line end)
+    body = chunk.removesuffix(eol)
+    line = ("," * (width - 1) + eol).encode()
+    seps = (body + eol).encode().translate(None, _NOT_SEPARATOR)
+    if seps != line * (len(seps) // len(line)):
+        return None
+    return ",".join(body.split(eol)).split(",")
+
+
+def _csv_rows(path, reader, columns: tuple, index: list, offset=0, skip=0, stop=None):
+    """(line numbers, one list per column, fault) of the rows csv ``reader`` reads after
+    its line ``skip``, up to the row that ends on or past its line ``stop``.
+
+    Blank lines are passed over.  A short row, a csv error or undecodable text ends the
+    rows, and is the fault: a DataValidationError, or the UnicodeDecodeError itself.
+    ``offset`` is added to the reader's line numbers.
+    """
+    nums, rows, fault = [], [], None
+    width = max(index) + 1
+    try:
+        for row in reader:
+            if row and reader.line_num > skip:
+                if len(row) < width:
+                    short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
+                    fault = DataValidationError(
+                        f"{path} line {offset + reader.line_num}: no {short} field")
+                    break
+                nums.append(offset + reader.line_num)
+                rows.append(row)
+            if stop is not None and reader.line_num >= stop:
+                break
+    except csv.Error as exc:
+        fault = DataValidationError(f"{path} line {offset + reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        fault = exc
+    return nums, [[row[i] for row in rows] for i in index], fault
+
+
+def _read_columns(path, columns: tuple):
+    """Yield (line numbers, one list of texts per column) for each chunk of a CSV
+    file's data rows: the rows, line numbers and errors csv.reader gives.
+
+    A chunk is _CHUNK characters and the rest of its last line.  One that _split takes
+    and that holds no field over csv's limit is split in bulk; any other is read by
+    csv.reader, which reads on into the file to finish a quoted field.  A short row, a
+    csv error or undecodable text is raised when the next chunk is asked for, after the
+    rows before it: a caller that checks each chunk before it asks for the next names
+    the file's first fault.
+    """
+    line = 0  # lines read so far, as csv.reader's line_num counts them
     # utf-8-sig: a UTF-8 file may start with a byte-order mark, as spreadsheets write one
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        head = csv.reader(fh)
         try:
-            header = next(reader, [])
+            header = next(head, [])
             if not set(columns) <= set(header):
                 raise DataValidationError(f"{path} needs columns {sorted(columns)}")
             index = [header.index(c) for c in columns]
-            pick = operator.itemgetter(*index)
-            width = max(index) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:  # a blank line; line_num still counts it
-                        continue
-                    short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
-                    raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
-                yield reader.line_num, pick(row)
+            line = head.line_num
+            while chunk := fh.read(_CHUNK):
+                chunk += fh.readline()
+                if len(chunk) <= csv.field_size_limit() and (
+                        cells := _split(chunk, len(header))) is not None:
+                    n_lines = len(cells) // len(header)
+                    yield (range(line + 1, line + 1 + n_lines),
+                           [cells[i::len(header)] for i in index])
+                    line += n_lines
+                    continue
+                lines = io.StringIO(chunk, newline="").readlines()
+                reader = csv.reader(itertools.chain(lines, fh))
+                *rows, fault = _csv_rows(path, reader, columns, index, line, stop=len(lines))
+                if isinstance(fault, UnicodeDecodeError):
+                    raise fault
+                line += reader.line_num
+                yield rows
+                if fault:
+                    raise fault
+            return
         except UnicodeDecodeError:
-            raise DataValidationError(f"{path}: not UTF-8 text") from None
+            if not line:
+                raise DataValidationError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
-            raise DataValidationError(f"{path} line {reader.line_num}: {exc}") from None
+            raise DataValidationError(f"{path} line {head.line_num}: {exc}") from None
+    # Text that does not decode: read the rows after the last one given as csv.reader
+    # alone reads the file, so which rows are checked before the error does not depend
+    # on the chunk size.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        *rows, fault = _csv_rows(path, csv.reader(fh), columns, index, skip=line)
+    yield rows
+    if isinstance(fault, UnicodeDecodeError):
+        raise DataValidationError(f"{path}: not UTF-8 text") from None
+    if fault:
+        raise fault
 
 
 def load_network(path) -> StationNetwork:
     ids, coords, observed = {}, [], []  # ids: station id -> its line
-    for lineno, (sid, x_km, y_km, flag) in _read_rows(
-            path, ("station_id", "x_km", "y_km", "observed")):
-        if sid in ids:
-            raise DataValidationError(
-                f"{path} line {lineno}: duplicate station id {sid!r} (first on line {ids[sid]})")
-        ids[sid] = lineno
-        try:
-            coords.append((float(x_km), float(y_km)))
-            flag = int(flag)
-        except ValueError as exc:
-            raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, coords[-1])):
-            raise DataValidationError(f"{path} line {lineno}: non-finite coordinate")
-        if flag not in (0, 1):
-            raise DataValidationError(f"{path} line {lineno}: observed must be 0 or 1")
-        observed.append(bool(flag))
+    for lines, columns in _read_columns(path, ("station_id", "x_km", "y_km", "observed")):
+        for lineno, sid, x_km, y_km, flag in zip(lines, *columns):
+            if sid in ids:
+                raise DataValidationError(f"{path} line {lineno}: duplicate station id "
+                                          f"{sid!r} (first on line {ids[sid]})")
+            ids[sid] = lineno
+            try:
+                coords.append((float(x_km), float(y_km)))
+                flag = int(flag)
+            except ValueError as exc:
+                raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, coords[-1])):
+                raise DataValidationError(f"{path} line {lineno}: non-finite coordinate")
+            if flag not in (0, 1):
+                raise DataValidationError(f"{path} line {lineno}: observed must be 0 or 1")
+            observed.append(bool(flag))
     if not ids:
         raise DataValidationError(f"{path}: no data rows")
     return StationNetwork.from_coords(list(ids), np.array(coords), np.array(observed), path)
@@ -107,25 +196,22 @@ def _is_date(text: str) -> bool:
         return False
 
 
-def _read_long_panel(path, ids: dict, column="value", dates=None) -> dict:
-    """Read station_id,date,<column> rows into {(id, date): value}.
-    ``ids`` maps each station id the file may use to None, any other network id to why not;
-    ``dates``, when given, holds every date the file may use."""
-    allowed = None if dates is None else frozenset(dates)
-    cells, seen = {}, set()
-    for lineno, (sid, date, value) in _read_rows(path, ("station_id", "date", column)):
-        if refused := ids.get(sid, "not in the network"):
-            raise DataValidationError(f"{path} line {lineno}: station {sid!r} {refused}")
-        if date not in seen:  # each date is checked on its first row
+def _first_fault(path, lines, sids, days, texts, rows, refused, codes, closed, seen):
+    """Raise the first rule a chunk's rows break, checking one row at a time."""
+    cells = set()
+    for lineno, sid, date, text in zip(lines, sids, days, texts):
+        if sid not in rows:
+            raise DataValidationError(f"{path} line {lineno}: station {sid!r} "
+                                      f"{refused.get(sid, 'not in the network')}")
+        if date not in codes:
             if not _is_date(date):
                 raise DataValidationError(
                     f"{path} line {lineno}: date {date!r} is not a YYYY-MM-DD date")
-            if allowed is not None and date not in allowed:
+            if closed:
                 raise DataValidationError(
                     f"{path} line {lineno}: date {date} outside the simulated range")
-            seen.add(date)
         try:
-            val = float(value)
+            val = float(text)
         except ValueError as exc:
             raise DataValidationError(f"{path} line {lineno}: {exc}") from exc
         if not math.isfinite(val):
@@ -133,23 +219,69 @@ def _read_long_panel(path, ids: dict, column="value", dates=None) -> dict:
         if val < 0:
             raise DataValidationError(f"{path} line {lineno}: negative value {val}")
         key = (sid, date)
-        if key in cells:
+        if key in cells or (date in codes and seen[codes[date] * len(rows) + rows[sid]]):
             raise DataValidationError(f"{path} line {lineno}: duplicate row for {key}")
-        cells[key] = val
-    return cells
+        cells.add(key)
+
+
+def _read_panel(path, rows: dict, refused: dict, column="value", dates=None):
+    """The (station, date) array of a station_id,date,<column> file, NaN where a cell
+    has no row, and its dates: ``dates`` when given, else the file's own, sorted.
+
+    ``rows`` maps each station id the file may use to its row, ``refused`` any other
+    network id to why not; a file given ``dates`` may use no other.  Each chunk's
+    rows are checked by whole columns, and are scattered into the array at the end.
+    """
+    closed = dates is not None
+    # each date's code: its place in ``dates``, else in the order the file first uses it
+    codes = {} if dates is None else dict(zip(dates, itertools.count()))
+    n = len(rows)
+    seen = np.zeros(n * len(codes), bool)  # cells read so far, at code * n + row
+    filled, parts = 0, []
+    for lines, (sids, days, texts) in _read_columns(path, ("station_id", "date", column)):
+        fault = functools.partial(_first_fault, path, lines, sids, days, texts, rows,
+                                  refused, codes, closed)
+        at = np.fromiter(map(rows.get, sids, itertools.repeat(-1)), np.intp, len(sids))
+        fresh = [d for d in dict.fromkeys(days) if d not in codes]
+        try:
+            values = np.fromiter(map(float, texts), float, len(texts))
+            valid = ((values >= 0) & (values < np.inf)).all()
+        except ValueError:
+            valid = False
+        if not valid or at.min(initial=0) < 0 or (
+                fresh and (closed or not all(map(_is_date, fresh)))):
+            fault(seen)
+        if fresh:
+            codes.update(zip(fresh, itertools.count(len(codes))))
+            seen = np.concatenate((seen, np.zeros(n * len(fresh), bool)))
+        keys = np.fromiter(map(codes.__getitem__, days), np.intp, len(days)) * n + at
+        if seen[keys].any():
+            fault(seen)
+        seen[keys] = True
+        filled += len(keys)
+        if np.count_nonzero(seen) < filled:  # a cell twice in this chunk
+            seen[keys] = False
+            fault(seen)
+        parts.append((keys, values))
+    if dates is None:
+        dates = tuple(sorted(codes))
+    column_of = dict(zip(dates, itertools.count()))
+    remap = np.fromiter(map(column_of.__getitem__, codes), np.intp, len(codes))
+    grid = np.full((n, len(dates)), np.nan)
+    for keys, values in parts:
+        grid[keys % n, remap[keys // n]] = values
+    return grid, dates
 
 
 def _rectangle(path, what: str, ids, column="value", dates=None):
     """Read a long-form file that has a row for every (station, date) cell; returns
     (array, dates), the dates being ``dates`` when given, else the file's own, sorted."""
-    cells = _read_long_panel(path, dict.fromkeys(ids), column, dates)
-    if not cells:
+    grid, dates = _read_panel(path, dict(zip(ids, itertools.count())), {}, column, dates)
+    holes = np.isnan(grid)
+    if holes.all():
         raise DataValidationError(f"{path}: no data rows")
-    if dates is None:
-        dates = tuple(sorted({date for _, date in cells}))
-    grid = _grid(cells, ids, dates)
-    if np.any(np.isnan(grid)):
-        i, j = np.argwhere(np.isnan(grid))[0]
+    if holes.any():
+        i, j = np.argwhere(holes)[0]
         raise DataValidationError(f"{path}: {what} is not a complete station-"
                                   f"by-date rectangle: no row for station {ids[i]!r} on {dates[j]}")
     return grid, dates
@@ -158,23 +290,17 @@ def _rectangle(path, what: str, ids, column="value", dates=None):
 def load_panel(observed_path, simulated_path, net: StationNetwork) -> PanelData:
     """Load the simulated panel, then the observed panel on its dates, against the network."""
     x, dates = _rectangle(simulated_path, "simulated panel", net.ids)
-    y_cells = _read_long_panel(observed_path, {
-        sid: None if flag else f"is not an observed station in {net.source}"
-        for sid, flag in zip(net.ids, net.observed)}, dates=dates)
-    obs_ids = [net.ids[i] for i in net.observed_indices]
-    return PanelData(y=_grid(y_cells, obs_ids, dates), x=x, dates=dates)
+    rows = {net.ids[i]: r for r, i in enumerate(net.observed_indices)}
+    refused = {sid: f"is not an observed station in {net.source}"
+               for sid, flag in zip(net.ids, net.observed) if not flag}
+    y, _ = _read_panel(observed_path, rows, refused, dates=dates)
+    return PanelData(y=y, x=x, dates=dates)
 
 
 def load_field(path, column: str, net: StationNetwork, dates) -> np.ndarray:
     """One column of a long-form file written on the panel's grid, e.g. a run's
     calibrated.csv, as a complete (station, date) array."""
     return _rectangle(path, f"{column} field", net.ids, column, dates)[0]
-
-
-def _grid(cells: dict, ids, dates) -> np.ndarray:
-    """The (station, date) array of ``cells``, NaN where a cell has no row."""
-    values = map(cells.get, itertools.product(ids, dates), itertools.repeat(math.nan))
-    return np.fromiter(values, float, count=len(ids) * len(dates)).reshape(len(ids), len(dates))
 
 
 class _Echo:

@@ -9,13 +9,16 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windcal import data
 from windcal.data import (
     PanelData,
     SyntheticTruth,
@@ -340,6 +343,259 @@ class TestLoadValidation:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert "Zürich,0.0,0.0,1\r\n".encode() in path.read_bytes()
+
+
+PANEL_COLUMNS = ("station_id", "date", "value")
+
+
+def reference_rows(path, columns=PANEL_COLUMNS):
+    """(line, values of ``columns``) of each data row, one csv.reader row at a time: the
+    rows, line numbers and errors the chunked reader must give."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if not set(columns) <= set(header):
+                raise DataValidationError(f"{path} needs columns {sorted(columns)}")
+            index = [header.index(c) for c in columns]
+            for row in reader:
+                if len(row) <= max(index):
+                    if not row:
+                        continue
+                    short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
+                    raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
+                yield reader.line_num, tuple(row[i] for i in index)
+        except UnicodeDecodeError:
+            raise DataValidationError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataValidationError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def chunked_rows(path, columns=PANEL_COLUMNS):
+    for lines, cols in data._read_columns(path, columns):
+        yield from ((n, tuple(values)) for n, *values in zip(lines, *cols))
+
+
+def reference_panel(path, rows, refused, dates=None):
+    """The (array, dates) of a long-form panel, its rows checked one at a time."""
+    allowed = None if dates is None else frozenset(dates)
+    cells, seen = {}, set()
+    for lineno, (sid, date, value) in reference_rows(path):
+        where = f"{path} line {lineno}"
+        if sid not in rows:
+            raise DataValidationError(
+                f"{where}: station {sid!r} {refused.get(sid, 'not in the network')}")
+        if date not in seen:
+            if not data._is_date(date):
+                raise DataValidationError(f"{where}: date {date!r} is not a YYYY-MM-DD date")
+            if allowed is not None and date not in allowed:
+                raise DataValidationError(f"{where}: date {date} outside the simulated range")
+            seen.add(date)
+        try:
+            val = float(value)
+        except ValueError as exc:
+            raise DataValidationError(f"{where}: {exc}") from exc
+        if not math.isfinite(val):
+            raise DataValidationError(f"{where}: non-finite value {val}")
+        if val < 0:
+            raise DataValidationError(f"{where}: negative value {val}")
+        if (sid, date) in cells:
+            raise DataValidationError(f"{where}: duplicate row for {(sid, date)}")
+        cells[sid, date] = val
+    dates = tuple(sorted(seen)) if dates is None else dates
+    grid = np.full((len(rows), len(dates)), np.nan)
+    for (sid, date), val in cells.items():
+        grid[rows[sid], dates.index(date)] = val
+    return grid, dates
+
+
+def outcome(read):
+    """(everything ``read()`` gives, as a list, before it raises; the message it raises)"""
+    got = []
+    try:
+        got.extend(read())
+    except DataValidationError as exc:
+        # a generator's rows are kept up to the fault; a function's result is all or none
+        return got, str(exc)
+    return got, None
+
+
+# a quote, line ends, and characters that end a line for str.splitlines but not for csv
+CSV_ALPHABET = 'ab1é,"\r\n\x0b\x85\u2028\0'
+PLAIN_CELL = st.text("ab12é. ", max_size=3)
+# 10 or 11 characters: at a field limit of 10 (the length of "station_id") the longer breaks it
+LONG_CELL = st.text("ab1", min_size=10, max_size=11)
+CELL = st.one_of(PLAIN_CELL, PLAIN_CELL, LONG_CELL, st.text(CSV_ALPHABET, max_size=3),
+                 st.text(CSV_ALPHABET, max_size=4).map(lambda t: '"' + t.replace('"', '""') + '"'))
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file's text: mostly well-formed rows under a shuffled header with extra
+    columns, with short and long rows, blank lines, quoted fields and stray text."""
+    names = list(PANEL_COLUMNS) + draw(st.lists(st.sampled_from(["x", "y", ""]), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(PANEL_COLUMNS)))
+    header = draw(st.permutations(names))
+    eol = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    lines = [",".join(header)]
+    for kind in draw(st.lists(st.sampled_from("rrrrbs"), max_size=10)):
+        if kind == "r":
+            n = draw(st.sampled_from([len(header)] * 4 + [len(header) - 1, len(header) + 1, 1]))
+            lines.append(",".join(draw(st.lists(CELL, min_size=n, max_size=n))))
+        elif kind == "b":
+            lines.append("")
+        else:
+            lines.append(draw(st.text(CSV_ALPHABET, max_size=8)))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+STATIONS = {"a": 0, "b": 1}
+REFUSED = {"c": "is not an observed station in s.csv"}
+SIM_DATES = ("2013-01-01", "2013-01-02")
+
+
+@st.composite
+def panel_texts(draw):
+    """A long-form panel over few stations, dates and values, so that duplicate cells,
+    unknown stations, bad dates and bad values all occur."""
+    row = st.tuples(st.sampled_from("aaabbcz"),
+                    st.sampled_from([*SIM_DATES * 3, "2013-01-03", "2013-13-40", "20130101"]),
+                    st.sampled_from(["1.5", "0", "2e3", " 7 ", "1_0"] * 3
+                                    + ["-0.5", "nan", "inf", "x", ""]))
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    body = [",".join(r) for r in draw(st.lists(row, max_size=12))]
+    return eol.join(["station_id,date,value", *body]) + eol
+
+
+class TestChunkedIngest:
+    """The chunked reader gives what csv.reader, and a row-at-a-time check, gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), bom=st.booleans(),
+           chunk=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]), limit=st.sampled_from([131072, 10]))
+    def test_same_rows_and_faults_as_csv_reader(self, text, bom, chunk, limit):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_bytes(("\ufeff" * bom + text).encode())
+            # the limit is the csv module's own, so a short one applies to both readers
+            old = csv.field_size_limit(limit)
+            try:
+                with mock.patch.object(data, "_CHUNK", chunk):
+                    got = outcome(lambda: chunked_rows(path))
+                assert got == outcome(lambda: reference_rows(path))
+            finally:
+                csv.field_size_limit(old)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=panel_texts(), chunk=st.sampled_from([1, 4, 16, 40, 1 << 16]),
+           dates=st.sampled_from([None, SIM_DATES]))
+    def test_same_array_and_first_fault_as_row_checks(self, text, chunk, dates):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_text(text, newline="")
+            with mock.patch.object(data, "_CHUNK", chunk):
+                got = outcome(lambda: [data._read_panel(path, STATIONS, REFUSED, dates=dates)])
+            expected = outcome(lambda: [reference_panel(path, STATIONS, REFUSED, dates)])
+        assert got[1] == expected[1]
+        if got[1] is None:
+            (grid, got_dates), = got[0]
+            assert got_dates == expected[0][0][1]
+            assert np.array_equal(grid, expected[0][0][0], equal_nan=True)
+
+    # (rows after the header, the message after "<path> line "); each first fault
+    # is followed by a later one of another kind
+    FIRST_FAULTS = [
+        (["a,2013-01-01,1", "b,2013-01-01,-1", "a,2013-01-02,1", "zz,2013-01-02,1"],
+         "3: negative value -1.0"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "a,2013-01-01,2", "a,2013-01-02,1",
+          "b,2013-02-30,1"], "4: duplicate row for ('a', '2013-01-01')"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "b,2013-01-02,1", "a,2013-01-01,x",
+          "a,2013-01-02,-1"], "5: could not convert string to float: 'x'"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "a,2013-01-02,inf", "zz,2013-01-02,1"],
+         "4: non-finite value inf"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "b,2013-01-02,north", "a,2013-01-01,1"],
+         "4: could not convert string to float: 'north'"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "c,2013-01-02,1", "a,2013-01-03,-1"],
+         "4: station 'c' is not an observed station in s.csv"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "a,20130102,1", "a,2013-01-01,1"],
+         "4: date '20130102' is not a YYYY-MM-DD date"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "a,2013-01-02,1,extra", "b,2013-01-02"],
+         "5: no value field"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", "a,2013-01-02", "b,2013-01-01,1"],
+         "4: no value field"),
+        (["a,2013-01-01,1", "b,2013-01-01,1", 'a,2013-01-02,"1', '"', "a,2013-01-01,2"],
+         "6: duplicate row for ('a', '2013-01-01')"),
+    ]
+
+    @pytest.mark.parametrize("body, fault", FIRST_FAULTS)
+    @pytest.mark.parametrize("chunk", ["tiny", "boundary", "whole"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, body, fault, chunk):
+        path = tmp_path / "o.csv"
+        path.write_text("station_id,date,value\r\n" + "".join(f"{b}\r\n" for b in body),
+                        newline="")
+        # "boundary": the first chunk ends with line 3, so the fault opens the second
+        size = {"tiny": 1, "boundary": len("".join(f"{b}\r\n" for b in body[:2])) - 1,
+                "whole": 1 << 16}[chunk]
+        with mock.patch.object(data, "_CHUNK", size):
+            with pytest.raises(DataValidationError) as exc:
+                data._read_panel(path, STATIONS, REFUSED)
+        assert str(exc.value) == f"{path} line {fault}"
+        assert outcome(lambda: [reference_panel(path, STATIONS, REFUSED)])[1] == str(exc.value)
+
+    def test_unquoted_oversized_field_named_with_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("station_id,date,value\na,2013-01-01,1\na,2013-01-02,"
+                        + "1" * 200_000 + "\n", newline="")
+        with pytest.raises(DataValidationError) as exc:
+            data._read_panel(path, STATIONS, REFUSED)
+        assert str(exc.value) == f"{path} line 3: field larger than field limit (131072)"
+
+    # (line of a negative value, line that starts with text that does not decode, the
+    # message after the path): csv.reader decodes 8 KB at a time, so a fault before the
+    # undecodable text is named only when an earlier 8 KB block holds it
+    UNDECODABLE = [(None, 4000, ": not UTF-8 text"),
+                   (2000, 2500, " line 2000: negative value -1.0"),
+                   (2490, 2500, ": not UTF-8 text"),
+                   (3400, 4000, " line 3400: negative value -1.0"),
+                   (4000, 3400, ": not UTF-8 text"),
+                   (10, 4500, " line 10: negative value -1.0"),
+                   (4500, 10, ": not UTF-8 text")]
+
+    @pytest.mark.parametrize("fault_line, bad_line, message", UNDECODABLE)
+    def test_undecodable_text_named_where_csv_reader_meets_it(self, tmp_path, fault_line,
+                                                               bad_line, message):
+        # a 95 KB panel: the undecodable text lies in the first chunk or past it
+        ids = {f"s{i}": i for i in range(10)}
+        lines = ["station_id,date,value"] + [f"{s},{d},1.25" for s in ids
+                                              for d in default_dates(500)]
+        if fault_line:
+            lines[fault_line - 1] = lines[fault_line - 1].replace("1.25", "-1")
+        raw = "\n".join(lines).encode() + b"\n"
+        at = raw.index(lines[bad_line - 1].encode())
+        path = tmp_path / "x.csv"
+        path.write_bytes(raw[:at] + "Z\u00fcrich".encode("latin-1") + raw[at:])
+        assert outcome(lambda: [data._read_panel(path, ids, {})])[1] == f"{path}{message}"
+        assert outcome(lambda: [reference_panel(path, ids, {})])[1] == f"{path}{message}"
+
+    def test_load_panel_peak_memory(self, tmp_path):
+        # the benchmark's largest size: 200 stations, 100 observed, 365 days
+        rng = np.random.default_rng(3)
+        net = toy_network(n_total=200, n_obs=100)
+        dates = default_dates(365)
+        x = rng.uniform(0.1, 60.0, (200, 365))
+        y = np.where(rng.random((100, 365)) < 0.1, np.nan, rng.uniform(0.1, 60.0, (100, 365)))
+        write_panel_csv(tmp_path / "simulated.csv", x, net.ids, dates)
+        write_panel_csv(tmp_path / "observed.csv", y, net.ids[:100], dates)
+        tracemalloc.start()
+        try:
+            panel = load_panel(tmp_path / "observed.csv", tmp_path / "simulated.csv", net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(panel.x, x) and np.array_equal(panel.y, y, equal_nan=True)
+        # the panels are 0.88 MB; chunked ingest peaked at 2.3 MB, row-at-a-time at 17.3 MB
+        assert peak < 4e6, f"load_panel peaked at {peak / 1e6:.2f} MB"
 
 
 class TestGenerateSynthetic:
