@@ -33,6 +33,7 @@ from .data import (
     load_field,
     load_network,
     load_panel,
+    text_lines,
     write_long_csv,
     write_network_csv,
     write_panel_csv,
@@ -120,23 +121,20 @@ def parse_config(path) -> RunConfig:
         raise DataValidationError(f"config file not found: {path}")
     raw = {}  # key -> (value, where it was set)
     first = {}  # key -> its line in the file
-    try:  # utf-8-sig: a UTF-8 file may start with a byte-order mark
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise DataValidationError(f"{path}: not UTF-8 text") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = _COMMENT.sub("", line, count=1).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataValidationError(f"{path} line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in first:
-            raise DataValidationError(
-                f"{path} line {lineno}: {key} set again (first on line {first[key]})")
-        first[key] = lineno
-        raw[key] = (value, f"{path} line {lineno}")
+    # utf-8-sig: a UTF-8 file may start with a byte-order mark
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(text_lines(path, fh), start=1):
+            line = _COMMENT.sub("", line, count=1).strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataValidationError(f"{path} line {lineno}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first:
+                raise DataValidationError(
+                    f"{path} line {lineno}: {key} set again (first on line {first[key]})")
+            first[key] = lineno
+            raw[key] = (value, f"{path} line {lineno}")
     for key in _PATH_KEYS:
         if env := os.environ.get(f"WINDCAL_{key.upper()}"):
             raw[key] = (env, f"WINDCAL_{key.upper()}")
@@ -286,7 +284,7 @@ def run(cfg: RunConfig) -> int:
         manifest["chain_workers"] = chain_workers(cfg.mcmc.chains)
         _export_sigma_boxplot(cfg.output_dir, draws)
     manifest["wall_time_s"] = time.perf_counter() - t_start
-    with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return EXIT_OK
 
@@ -391,7 +389,7 @@ def _cmd_simulate(args) -> int:
     record = {k: getattr(truth, k) for k in SCALAR_NAMES + ("shift_y", "shift_x")}
     record["seed"] = args.seed
     record["missing_rate"] = args.missing_rate
-    with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
+    with open(os.path.join(args.out_dir, "truth.json"), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
     return EXIT_OK
 
@@ -415,7 +413,7 @@ def _cmd_export_figures(args) -> int:
     if not os.path.exists(manifest_path):
         raise DataValidationError(f"no manifest.json in {args.run_dir}")
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             inputs = json.load(fh)["config"]
         stations, observed, simulated = (inputs[key] for key in _INPUT_KEYS)
     except (ValueError, KeyError, TypeError) as exc:

@@ -16,6 +16,7 @@ import functools
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,14 +60,26 @@ _CHUNK = 1 << 16
 # every byte but the comma and the two line-end characters, which UTF-8 writes for no
 # other character
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\r\n")))
+# the characters errors="surrogateescape" decodes each byte that is not UTF-8 to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path, lines, line=0):
+    """Yield ``lines``, which follow line ``line`` of ``path``, and raise at the first
+    that holds text that is not UTF-8: a file opened with errors="surrogateescape"
+    decodes such bytes to U+DC80-U+DCFF, which UTF-8 text never decodes to."""
+    for line, text in enumerate(lines, line + 1):
+        if not text.isascii() and _UNDECODABLE.search(text):
+            raise DataValidationError(f"{path} line {line}: not UTF-8 text")
+        yield text
 
 
 def _split(chunk: str, width: int):
     """The cells of a chunk's lines, row after row, or None when csv.reader must read it:
-    it holds a quote, a NUL, line ends other than all \\n or all \\r\\n, or a line
-    without width - 1 commas (a blank line among them: every file read has three or
-    more columns)."""
-    if '"' in chunk or "\0" in chunk:
+    it holds a quote, a NUL, text that is not UTF-8, line ends other than all \\n or all
+    \\r\\n, or a line without width - 1 commas (a blank line among them: every file read
+    has three or more columns)."""
+    if '"' in chunk or "\0" in chunk or not chunk.isascii() and _UNDECODABLE.search(chunk):
         return None
     eol = "\r\n" if "\r" in chunk else "\n"
     # the commas and line ends of the chunk, in order, must repeat those of one line
@@ -79,35 +92,6 @@ def _split(chunk: str, width: int):
     return ",".join(body.split(eol)).split(",")
 
 
-def _csv_rows(path, reader, columns: tuple, index: list, offset=0, skip=0, stop=None):
-    """(line numbers, one list per column, fault) of the rows csv ``reader`` reads after
-    its line ``skip``, up to the row that ends on or past its line ``stop``.
-
-    Blank lines are passed over.  A short row, a csv error or undecodable text ends the
-    rows, and is the fault: a DataValidationError, or the UnicodeDecodeError itself.
-    ``offset`` is added to the reader's line numbers.
-    """
-    nums, rows, fault = [], [], None
-    width = max(index) + 1
-    try:
-        for row in reader:
-            if row and reader.line_num > skip:
-                if len(row) < width:
-                    short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
-                    fault = DataValidationError(
-                        f"{path} line {offset + reader.line_num}: no {short} field")
-                    break
-                nums.append(offset + reader.line_num)
-                rows.append(row)
-            if stop is not None and reader.line_num >= stop:
-                break
-    except csv.Error as exc:
-        fault = DataValidationError(f"{path} line {offset + reader.line_num}: {exc}")
-    except UnicodeDecodeError as exc:
-        fault = exc
-    return nums, [[row[i] for row in rows] for i in index], fault
-
-
 def _read_columns(path, columns: tuple):
     """Yield (line numbers, one list of texts per column) for each chunk of a CSV
     file's data rows: the rows, line numbers and errors csv.reader gives.
@@ -115,54 +99,53 @@ def _read_columns(path, columns: tuple):
     A chunk is _CHUNK characters and the rest of its last line.  One that _split takes
     and that holds no field over csv's limit is split in bulk; any other is read by
     csv.reader, which reads on into the file to finish a quoted field.  A short row, a
-    csv error or undecodable text is raised when the next chunk is asked for, after the
-    rows before it: a caller that checks each chunk before it asks for the next names
-    the file's first fault.
+    csv error or a line of text that is not UTF-8 is raised when the next chunk is asked
+    for, after the rows before it: a caller that checks each chunk before it asks for
+    the next names the file's first fault.  Blank lines are passed over.
     """
-    line = 0  # lines read so far, as csv.reader's line_num counts them
     # utf-8-sig: a UTF-8 file may start with a byte-order mark, as spreadsheets write one
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        head = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        head = csv.reader(text_lines(path, fh))
         try:
             header = next(head, [])
-            if not set(columns) <= set(header):
-                raise DataValidationError(f"{path} needs columns {sorted(columns)}")
-            index = [header.index(c) for c in columns]
-            line = head.line_num
-            while chunk := fh.read(_CHUNK):
-                chunk += fh.readline()
-                if len(chunk) <= csv.field_size_limit() and (
-                        cells := _split(chunk, len(header))) is not None:
-                    n_lines = len(cells) // len(header)
-                    yield (range(line + 1, line + 1 + n_lines),
-                           [cells[i::len(header)] for i in index])
-                    line += n_lines
-                    continue
-                lines = io.StringIO(chunk, newline="").readlines()
-                reader = csv.reader(itertools.chain(lines, fh))
-                *rows, fault = _csv_rows(path, reader, columns, index, line, stop=len(lines))
-                if isinstance(fault, UnicodeDecodeError):
-                    raise fault
-                line += reader.line_num
-                yield rows
-                if fault:
-                    raise fault
-            return
-        except UnicodeDecodeError:
-            if not line:
-                raise DataValidationError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
             raise DataValidationError(f"{path} line {head.line_num}: {exc}") from None
-    # Text that does not decode: read the rows after the last one given as csv.reader
-    # alone reads the file, so which rows are checked before the error does not depend
-    # on the chunk size.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        *rows, fault = _csv_rows(path, csv.reader(fh), columns, index, skip=line)
-    yield rows
-    if isinstance(fault, UnicodeDecodeError):
-        raise DataValidationError(f"{path}: not UTF-8 text") from None
-    if fault:
-        raise fault
+        if not set(columns) <= set(header):
+            raise DataValidationError(f"{path} needs columns {sorted(columns)}")
+        index = [header.index(c) for c in columns]
+        line = head.line_num  # lines read so far, as csv.reader's line_num counts them
+        while chunk := fh.read(_CHUNK):
+            chunk += fh.readline()
+            if len(chunk) <= csv.field_size_limit() and (
+                    cells := _split(chunk, len(header))) is not None:
+                n_lines = len(cells) // len(header)
+                yield (range(line + 1, line + 1 + n_lines),
+                       [cells[i::len(header)] for i in index])
+                line += n_lines
+                continue
+            # the chunk's lines, then the file's to finish a quoted field
+            lines = io.StringIO(chunk, newline="").readlines()
+            reader = csv.reader(text_lines(path, itertools.chain(lines, fh), line))
+            nums, rows, fault = [], [], None
+            try:
+                for row in reader:
+                    if len(row) > max(index):
+                        nums.append(line + reader.line_num)
+                        rows.append(row)
+                    elif row:
+                        short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
+                        raise DataValidationError(
+                            f"{path} line {line + reader.line_num}: no {short} field")
+                    if reader.line_num >= len(lines):
+                        break
+            except csv.Error as exc:
+                fault = DataValidationError(f"{path} line {line + reader.line_num}: {exc}")
+            except DataValidationError as exc:
+                fault = exc
+            line += reader.line_num
+            yield nums, [[row[i] for row in rows] for i in index]
+            if fault:
+                raise fault
 
 
 def load_network(path) -> StationNetwork:

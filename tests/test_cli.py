@@ -371,17 +371,57 @@ class TestInputEncoding:
 
     def test_latin1_csv_exits_2(self, tmp_path, dataset, capsys):
         path = dataset / "stations.csv"
+        line = next(n for n, row in enumerate(path.read_text().splitlines(), 1)
+                    if row.startswith("st000,"))
         path.write_bytes(path.read_bytes().replace(b"st000", "Z\u00fcrich".encode("latin-1")))
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"windcal: data validation error: {path}: not UTF-8 text\n")
+            f"windcal: data validation error: {path} line {line}: not UTF-8 text\n")
 
     def test_latin1_config_exits_2(self, tmp_path, dataset, capsys):
+        # the Latin-1 text is in a comment, which is still read
         p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
         p.write_bytes(p.read_bytes() + "# Z\u00fcrich\n".encode("latin-1"))
         assert main(["calibrate", "--config", str(p)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"windcal: data validation error: {p}: not UTF-8 text\n"
+        assert capsys.readouterr().err == (
+            f"windcal: data validation error: {p} line 5: not UTF-8 text\n")
+
+    def test_config_faults_named_in_file_order_with_latin1_text(self, tmp_path, dataset):
+        p = write_config(tmp_path / "run.cfg", dataset, tmp_path / "out")
+        latin1 = "site = Z\u00fcrich\n".encode("latin-1")
+        p.write_bytes(p.read_bytes() + b"chains 2\n" + latin1)
+        with pytest.raises(DataValidationError, match=r"run\.cfg line 5: expected key = value$"):
+            parse_config(p)
+        p.write_bytes(b"\xef\xbb\xbf" + latin1 + b"chains 2\n")
+        with pytest.raises(DataValidationError, match=r"run\.cfg line 1: not UTF-8 text$"):
+            parse_config(p)
+
+    def test_no_text_file_opened_in_the_locale_encoding(self, tmp_path):
+        # every command of a run, in a fresh interpreter that turns the warning for an
+        # open() without an encoding into an error
+        d = tmp_path
+        write_config(d / "fit.cfg", d / "data", d / "fit", iterations=6, burn_in=2,
+                     thinning=1, chains=2)
+        write_config(d / "marginal.cfg", d / "data", d / "marginal", mode="marginal-empirical")
+        runs = [["simulate", "--out-dir", d / "data", "--n-stations", "5", "--n-observed", "3",
+                 "--n-times", "4", "--seed", "2"],
+                ["fit", "--config", d / "fit.cfg"],
+                ["summarize", "--draws", d / "fit" / "draws.npz", "--out", d / "summary.csv"],
+                ["export-figures", "--run-dir", d / "fit", "--day", "1"],
+                ["calibrate", "--config", d / "marginal.cfg"]]
+        script = ("import json, sys\nfrom windcal import cli\n"
+                  "for args in json.loads(sys.argv[1]):\n"
+                  "    assert cli.main(args) == 0, args\n")
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", script,
+                               json.dumps([list(map(str, args)) for args in runs])],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        for path in ("data/truth.json", "fit/manifest.json", "fit/day001_stations.csv",
+                     "summary.csv", "marginal/manifest.json"):
+            assert (d / path).stat().st_size > 0, path
 
     def test_oversized_field_exits_2_with_its_line(self, tmp_path, dataset, capsys):
         path = dataset / "simulated.csv"

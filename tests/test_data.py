@@ -348,11 +348,20 @@ class TestLoadValidation:
 PANEL_COLUMNS = ("station_id", "date", "value")
 
 
+def utf8_lines(path, fh):
+    """The lines of ``fh``, a file opened with errors="surrogateescape", up to the first
+    that holds a byte that is not UTF-8, which raises."""
+    for lineno, line in enumerate(fh, start=1):
+        if any("\udc80" <= c <= "\udcff" for c in line):
+            raise DataValidationError(f"{path} line {lineno}: not UTF-8 text")
+        yield line
+
+
 def reference_rows(path, columns=PANEL_COLUMNS):
     """(line, values of ``columns``) of each data row, one csv.reader row at a time: the
     rows, line numbers and errors the chunked reader must give."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(utf8_lines(path, fh))
         try:
             header = next(reader, [])
             if not set(columns) <= set(header):
@@ -365,8 +374,6 @@ def reference_rows(path, columns=PANEL_COLUMNS):
                     short = ", ".join(c for c, i in zip(columns, index) if i >= len(row))
                     raise DataValidationError(f"{path} line {reader.line_num}: no {short} field")
                 yield reader.line_num, tuple(row[i] for i in index)
-        except UnicodeDecodeError:
-            raise DataValidationError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
             raise DataValidationError(f"{path} line {reader.line_num}: {exc}") from None
 
@@ -447,7 +454,11 @@ def csv_texts(draw):
             lines.append("")
         else:
             lines.append(draw(st.text(CSV_ALPHABET, max_size=8)))
-    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if draw(st.integers(0, 3)) == 0:  # a byte that is not UTF-8, written by surrogateescape
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\udcfc" + text[at:]
+    return text
 
 
 STATIONS = {"a": 0, "b": 1}
@@ -477,7 +488,7 @@ class TestChunkedIngest:
     def test_same_rows_and_faults_as_csv_reader(self, text, bom, chunk, limit):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.csv"
-            path.write_bytes(("\ufeff" * bom + text).encode())
+            path.write_bytes(("\ufeff" * bom + text).encode(errors="surrogateescape"))
             # the limit is the csv module's own, so a short one applies to both readers
             old = csv.field_size_limit(limit)
             try:
@@ -552,20 +563,20 @@ class TestChunkedIngest:
         assert str(exc.value) == f"{path} line 3: field larger than field limit (131072)"
 
     # (line of a negative value, line that starts with text that does not decode, the
-    # message after the path): csv.reader decodes 8 KB at a time, so a fault before the
-    # undecodable text is named only when an earlier 8 KB block holds it
-    UNDECODABLE = [(None, 4000, ": not UTF-8 text"),
+    # message after the path): the first in file order is named
+    UNDECODABLE = [(None, 4000, " line 4000: not UTF-8 text"),
                    (2000, 2500, " line 2000: negative value -1.0"),
-                   (2490, 2500, ": not UTF-8 text"),
+                   (2490, 2500, " line 2490: negative value -1.0"),
                    (3400, 4000, " line 3400: negative value -1.0"),
-                   (4000, 3400, ": not UTF-8 text"),
+                   (4000, 3400, " line 3400: not UTF-8 text"),
                    (10, 4500, " line 10: negative value -1.0"),
-                   (4500, 10, ": not UTF-8 text")]
+                   (4500, 10, " line 10: not UTF-8 text")]
 
     @pytest.mark.parametrize("fault_line, bad_line, message", UNDECODABLE)
-    def test_undecodable_text_named_where_csv_reader_meets_it(self, tmp_path, fault_line,
-                                                               bad_line, message):
-        # a 95 KB panel: the undecodable text lies in the first chunk or past it
+    @pytest.mark.parametrize("chunk", [1, 13, 1 << 16])
+    def test_undecodable_text_is_a_line_fault_in_file_order(self, tmp_path, fault_line,
+                                                            bad_line, message, chunk):
+        # a 95 KB panel: the undecodable text lies in the first 64K chunk or past it
         ids = {f"s{i}": i for i in range(10)}
         lines = ["station_id,date,value"] + [f"{s},{d},1.25" for s in ids
                                               for d in default_dates(500)]
@@ -575,8 +586,45 @@ class TestChunkedIngest:
         at = raw.index(lines[bad_line - 1].encode())
         path = tmp_path / "x.csv"
         path.write_bytes(raw[:at] + "Z\u00fcrich".encode("latin-1") + raw[at:])
-        assert outcome(lambda: [data._read_panel(path, ids, {})])[1] == f"{path}{message}"
+        with mock.patch.object(data, "_CHUNK", chunk):
+            assert outcome(lambda: [data._read_panel(path, ids, {})])[1] == f"{path}{message}"
         assert outcome(lambda: [reference_panel(path, ids, {})])[1] == f"{path}{message}"
+
+    # (file bytes, line named): each holds a later fault of another kind
+    UNDECODABLE_LINES = [
+        # a header that does not decode, and so has no station_id column
+        (b"stati\xf3n_id,date,value\na,2013-01-01,-1\n", 1),
+        # a byte-order mark, then text that does not decode on line 2
+        (b"\xef\xbb\xbfstation_id,date,value\nZ\xfcrich,2013-01-01,1\na,2013-01-01,-1\n", 2),
+        # inside a quoted field that opens on line 3 and ends on line 5
+        (b'station_id,date,value\na,2013-01-01,1\na,2013-01-02,"1\n\n2\xfc"\na,x,-1\n', 5),
+    ]
+
+    @pytest.mark.parametrize("raw, line", UNDECODABLE_LINES,
+                             ids=["header", "after-bom", "quoted-field"])
+    @pytest.mark.parametrize("chunk", [1, 5, 16, 1 << 16])
+    def test_undecodable_text_named_at_its_physical_line(self, tmp_path, raw, line, chunk):
+        path = tmp_path / "o.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(data, "_CHUNK", chunk):
+            got = outcome(lambda: chunked_rows(path))
+        assert got[1] == f"{path} line {line}: not UTF-8 text"
+        assert got == outcome(lambda: reference_rows(path))
+
+    def test_load_network_and_load_field_name_the_undecodable_line(self, tmp_path):
+        net = toy_network()
+        stations = tmp_path / "stations.csv"
+        write_network_csv(stations, net)
+        stations.write_bytes(stations.read_bytes().replace(b"s2,", b"Z\xfcrich,"))
+        with pytest.raises(DataValidationError, match=r"stations\.csv line 4: not UTF-8 text$"):
+            load_network(stations)
+        dates = default_dates(3)
+        field = tmp_path / "calibrated.csv"
+        write_long_csv(field, net.ids, dates, {"x_calibrated": np.ones((4, 3))})
+        field.write_bytes(field.read_bytes().replace(b"s1,2013-01-02",
+                                                     b"s1,2013-01-02\xa0"))
+        with pytest.raises(DataValidationError, match=r"calibrated\.csv line 6: not UTF-8 text$"):
+            data.load_field(field, "x_calibrated", net, dates)
 
     def test_load_panel_peak_memory(self, tmp_path):
         # the benchmark's largest size: 200 stations, 100 observed, 365 days
