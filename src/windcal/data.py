@@ -17,11 +17,11 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import SCALAR_NAMES, STATE_ARRAYS
+from .draws import SCALAR_NAMES
 from .errors import DataValidationError, DomainError
 from .latent import StationNetwork
 from .model import HierarchicalModel
@@ -364,7 +364,7 @@ def write_network_csv(path, net: StationNetwork):
 
 @dataclass
 class SyntheticTruth:
-    """Generator parameters plus the realized latent fields and endpoints."""
+    """The generator's parameters: the nine scalars and the two endpoint shifts."""
 
     beta_y: float = -1.09
     beta_x: float = -0.85
@@ -377,10 +377,6 @@ class SyntheticTruth:
     tau_z: float = 0.4
     shift_y: float = 30.0
     shift_x: float = 30.0
-    w: np.ndarray | None = None
-    z: np.ndarray | None = None
-    delta_y: np.ndarray | None = None
-    delta_x: np.ndarray | None = None
 
 
 def default_dates(n_times: int, start: str = "2013-01-01") -> tuple:
@@ -392,10 +388,11 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
                        seed: int = 0, missing_rate: float = 0.0):
     """Forward simulation of the full generative model.
 
-    Returns (PanelData, SyntheticTruth) with the realized latent fields and
-    per-cell endpoints filled in.  ``missing_rate`` removes observed cells
-    completely at random.  The draw is HierarchicalModel's own, so ``net``
-    needs an observed station, as the model does.
+    Returns (PanelData, ModelState): the panels and the realized state, the
+    truth's scalars with the latent fields and per-cell endpoints drawn.
+    ``missing_rate`` removes observed cells completely at random.  The draw is
+    HierarchicalModel's own, so ``net`` needs an observed station, as the model
+    does.
     """
     if not 0.0 <= missing_rate < 1.0:
         raise DomainError("missing_rate must be in [0, 1)")
@@ -414,4 +411,4 @@ def generate_synthetic(truth: SyntheticTruth, net: StationNetwork, n_times: int,
                 drop[r, rng.integers(y.shape[1])] = False
         y = np.where(drop, np.nan, y)
     panel = PanelData(y=y, x=x, dates=default_dates(n_times))
-    return panel, replace(truth, **{name: getattr(state, name) for name in STATE_ARRAYS})
+    return panel, state

@@ -4,16 +4,39 @@ from __future__ import annotations
 
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DataValidationError, DomainError
 
-SCALAR_NAMES = ("beta_y", "beta_x", "kappa_y", "kappa_x",
-                "xi_y", "xi_x", "alpha", "tau_w", "tau_z")
+
+@dataclass
+class ModelState:
+    """One point in the posterior: the nine scalars, then the latent fields and endpoints."""
+
+    beta_y: float
+    beta_x: float
+    kappa_y: float
+    kappa_x: float
+    xi_y: float
+    xi_x: float
+    alpha: float
+    tau_w: float
+    tau_z: float
+    w: np.ndarray        # (N_s,)
+    z: np.ndarray        # (T,)
+    delta_y: np.ndarray  # (N, T)
+    delta_x: np.ndarray  # (N_s, T)
+
+    def copy(self) -> "ModelState":
+        return replace(self, **{name: getattr(self, name).copy() for name in STATE_ARRAYS})
+
+
+# the annotations are strings (postponed evaluation), so a scalar's type reads "float"
+SCALAR_NAMES = tuple(f.name for f in fields(ModelState) if f.type == "float")
 # the record's arrays: those stacked from the sampler states, then the rest
-STATE_ARRAYS = ("w", "z", "delta_y", "delta_x")
+STATE_ARRAYS = tuple(f.name for f in fields(ModelState) if f.type != "float")
 ARRAYS = (*STATE_ARRAYS, "chain", "log_posterior")
 # the arrays of a draws.npz archive, in the order they are written
 ARCHIVE_KEYS = (*ARRAYS, "shift_y", "shift_x", "acceptance_keys", "acceptance_vals",

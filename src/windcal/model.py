@@ -14,13 +14,13 @@ import os
 import pickle
 import signal
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import methodcaller
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .draws import SCALAR_NAMES, STATE_ARRAYS, PosteriorDraws
+from .draws import SCALAR_NAMES, ModelState, PosteriorDraws
 from .egpd import egpd_draw, egpd_logpdf_kernel
 from .errors import DataValidationError, NumericalError, WindcalError, check_rules
 from .latent import (
@@ -74,6 +74,8 @@ class Law(NamedTuple):
     draw: Callable    # rng -> one forward draw
     lo: float         # the support is the open interval (lo, hi)
     hi: float
+    start: float      # where a chain starts: the family's value, or the middle of a
+                      # prior box that leaves that value out
     move: Callable    # (x, step) -> (proposal, log-Jacobian of the move) for a random-walk
                       # step on the prior's scale: identity, log, or logit of the box
 
@@ -82,23 +84,24 @@ def _normal(mean, precision) -> Law:
     const = 0.5 * math.log(precision / (2.0 * math.pi))
     return Law(lambda x: const - 0.5 * precision * (x - mean) ** 2,
                lambda rng: rng.normal(mean, 1.0 / math.sqrt(precision)),
-               -math.inf, math.inf, lambda x, step: (x + step, 0.0))
+               -math.inf, math.inf, 0.0, lambda x, step: (x + step, 0.0))
 
 
 def _gamma(shape, rate) -> Law:
     const = shape * math.log(rate) - math.lgamma(shape)
     return Law(lambda x: const + (shape - 1.0) * math.log(x) - rate * x,
-               lambda rng: rng.gamma(shape, 1.0 / rate), 0.0, math.inf,
+               lambda rng: rng.gamma(shape, 1.0 / rate), 0.0, math.inf, 1.0,
                lambda x, step: (x * math.exp(step), step))
 
 
-def _uniform(lo, hi) -> Law:
+def _uniform(lo, hi, start) -> Law:
     def move(x, step):
         t = _logit_box(x, lo, hi)
         t_prop = t + step
         return _expit_box(t_prop, lo, hi), _log_jac_box(t_prop, lo, hi) - _log_jac_box(t, lo, hi)
 
-    return Law(lambda x: -math.log(hi - lo), lambda rng: rng.uniform(lo, hi), lo, hi, move)
+    return Law(lambda x: -math.log(hi - lo), lambda rng: rng.uniform(lo, hi), lo, hi,
+               start if lo < start < hi else 0.5 * (lo + hi), move)
 
 
 # The two box maps repeat scipy.special's logit and expit operation for
@@ -133,8 +136,8 @@ def prior_table(p: PriorSpec) -> dict:
     """The Law of every scalar in SCALAR_NAMES, in that order."""
     family = {"beta": _normal(p.beta_mean, p.beta_precision),
               "kappa": _gamma(p.kappa_shape, p.kappa_rate),
-              "xi": _uniform(p.xi_low, p.xi_high),
-              "alpha": _uniform(p.alpha_low, p.alpha_high),
+              "xi": _uniform(p.xi_low, p.xi_high, -0.1),
+              "alpha": _uniform(p.alpha_low, p.alpha_high, 0.3),
               "tau": _gamma(p.tau_shape, p.tau_rate)}
     return {name: family[name.split("_")[0]] for name in SCALAR_NAMES}
 
@@ -156,28 +159,6 @@ class McmcConfig:
                      (("thinning",), "must be >= 1", self.thinning >= 1),
                      (("chains",), "must be >= 1", self.chains >= 1),
                      (("seed",), "must be >= 0", self.seed >= 0)])
-
-
-@dataclass
-class ModelState:
-    """One point in the posterior."""
-
-    beta_y: float
-    beta_x: float
-    kappa_y: float
-    kappa_x: float
-    xi_y: float
-    xi_x: float
-    alpha: float
-    tau_w: float
-    tau_z: float
-    w: np.ndarray        # (N_s,)
-    z: np.ndarray        # (T,)
-    delta_y: np.ndarray  # (N, T)
-    delta_x: np.ndarray  # (N_s, T)
-
-    def copy(self) -> "ModelState":
-        return replace(self, **{name: getattr(self, name).copy() for name in STATE_ARRAYS})
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +201,6 @@ def rates(beta, w_rows, z):
     eta = beta + w_rows[:, None] + z[None, :]
     with np.errstate(over="ignore"):
         return np.exp(eta)
-
-
-# where a chain starts, by scalar family (the part of the name before "_")
-_START = {"beta": 0.0, "kappa": 1.0, "xi": -0.1, "alpha": 0.3, "tau": 1.0}
 
 
 def _expm1(x: float) -> float:
@@ -367,12 +344,7 @@ class HierarchicalModel:
     # -- initialization ---------------------------------------------------------
 
     def initialize_state(self) -> ModelState:
-        # each scalar starts at its family's fixed value, or at the middle of
-        # a prior box that leaves that value out
-        start = {}
-        for name, law in self.laws.items():
-            value = _START[name.split("_")[0]]
-            start[name] = value if law.lo < value < law.hi else 0.5 * (law.lo + law.hi)
+        start = {name: law.start for name, law in self.laws.items()}
         for mg, panel, name in zip(self.margins, (self.y, self.x), ("observed", "simulated")):
             sd, top = float(np.nanstd(panel)), float(np.nanmax(panel))
             if sd <= 0:
@@ -774,6 +746,7 @@ def run_mcmc(model: HierarchicalModel, cfg: McmcConfig) -> PosteriorDraws:
             status = os.waitpid(pid, 0)[1]
             del forked[0]
             parts.append(_worker_result(payload, status, chains_of(k)))
+            del payload  # the pickle is not kept alive through the merge
     finally:
         # a chain failed or the caller was interrupted: stop and reap every worker left
         for _, pid, pipe in forked:

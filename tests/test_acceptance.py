@@ -278,7 +278,7 @@ def _fit_replicate(args):
     panel, tr = generate_synthetic(truth, net, n_times, seed=seed + 1000,
                                    missing_rate=missing_rate)
     model = HierarchicalModel(panel.y, panel.x, net,
-                              shift_y=tr.shift_y, shift_x=tr.shift_x)
+                              shift_y=truth.shift_y, shift_x=truth.shift_x)
     cfg = McmcConfig(iterations=10_000, burn_in=3_000, thinning=7,
                      chains=1, seed=seed)
     draws = run_mcmc(model, cfg)

@@ -24,8 +24,8 @@ from windcal.cli import (
     main,
     parse_config,
 )
-from windcal.data import load_field, load_network, load_panel
-from windcal.draws import ARRAYS, SCALAR_NAMES, PosteriorDraws, save_draws_npz
+from windcal.data import SyntheticTruth, load_field, load_network, load_panel
+from windcal.draws import ARRAYS, SCALAR_NAMES, STATE_ARRAYS, PosteriorDraws, save_draws_npz
 from windcal.errors import DataValidationError, NumericalError, RuleError
 from windcal.model import HierarchicalModel, McmcConfig, MwgSampler, chain_workers
 from windcal.predictive import day_densities
@@ -82,8 +82,13 @@ class TestSimulate:
     def test_outputs(self, dataset):
         for name in ("stations.csv", "observed.csv", "simulated.csv", "truth.json"):
             assert (dataset / name).exists()
-        truth = json.loads((dataset / "truth.json").read_text())
-        assert {"beta_y", "kappa_x", "shift_y", "seed"} <= truth.keys()
+        # exactly the 11 parameters, at SyntheticTruth()'s values, then the run's seed
+        # and missing rate; no realized field or endpoint
+        truth = json.loads((dataset / "truth.json").read_text(encoding="utf-8"))
+        params = (*SCALAR_NAMES, "shift_y", "shift_x")
+        assert truth.keys() == {*params, "seed", "missing_rate"}
+        assert {k: truth[k] for k in params} == {k: getattr(SyntheticTruth(), k) for k in params}
+        assert (truth["seed"], truth["missing_rate"]) == (11, 0.0)
 
     def test_bad_station_counts(self, tmp_path):
         code = main(["simulate", "--out-dir", str(tmp_path / "z"),
@@ -688,6 +693,21 @@ class TestHierarchicalPipeline:
         assert len(rows) == 2 * per_chain
         assert {"beta_y", "kappa_x", "alpha", "delta_y_mean", "chain"} <= rows[0].keys()
         assert {r["chain"] for r in rows} == {"0", "1"}
+
+    def test_outputs_follow_the_model_state_order(self, run_dir):
+        # ModelState declares the unknowns once; the names are read off its fields
+        # and every output lists them in that order
+        assert SCALAR_NAMES == ("beta_y", "beta_x", "kappa_y", "kappa_x",
+                                "xi_y", "xi_x", "alpha", "tau_w", "tau_z")
+        assert STATE_ARRAYS == ("w", "z", "delta_y", "delta_x")
+        with open(run_dir / "posterior.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["draw", "chain", *SCALAR_NAMES,
+                                            "delta_y_mean", "delta_x_mean"]
+        with np.load(run_dir / "draws.npz") as data:
+            assert data.files[:len(STATE_ARRAYS)] == list(STATE_ARRAYS)
+            assert data.files[-len(SCALAR_NAMES):] == [f"scalar_{n}" for n in SCALAR_NAMES]
+        assert [r["block"] for r in read_rows(run_dir / "acceptance.csv")] == \
+            [*SCALAR_NAMES, *STATE_ARRAYS]
 
     def test_summary_csv_contents(self, run_dir):
         rows = read_rows(run_dir / "summary.csv")

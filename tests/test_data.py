@@ -1,6 +1,7 @@
 """Unit tests for CSV ingestion, validation, and forward simulation."""
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -31,6 +32,7 @@ from windcal.data import (
     write_panel_csv,
     write_table,
 )
+from windcal.draws import SCALAR_NAMES, ModelState
 from windcal.errors import DataValidationError, DomainError
 from windcal.latent import StationNetwork
 
@@ -658,6 +660,17 @@ class TestGenerateSynthetic:
         assert np.all(panel.x < tr.delta_x) and np.all(panel.x > 0)
         assert np.all(tr.delta_y > truth.shift_y)
         assert tr.z.sum() == pytest.approx(0.0, abs=1e-9)
+
+    def test_truth_is_the_generator_parameters(self):
+        # the truth names each scalar unknown, then the two shifts, and nothing
+        # realized; the draw comes back as the model's own state
+        assert tuple(f.name for f in dataclasses.fields(SyntheticTruth)) == \
+            (*SCALAR_NAMES, "shift_y", "shift_x")
+        truth = SyntheticTruth(shift_y=2.0, shift_x=2.0, tau_z=4.0, alpha=0.3)
+        _, state = generate_synthetic(truth, toy_network(n_total=6, n_obs=3), 8, seed=5)
+        assert isinstance(state, ModelState)
+        assert {n: getattr(state, n) for n in SCALAR_NAMES} == \
+            {n: getattr(truth, n) for n in SCALAR_NAMES}
 
     def test_missingness_rate_and_floor(self):
         net = toy_network(n_total=6, n_obs=3)

@@ -27,6 +27,7 @@ from windcal.model import (
     _log_jac_box,
     _logit_box,
     chain_workers,
+    prior_table,
     run_mcmc,
 )
 
@@ -66,6 +67,30 @@ class TestConfig:
             McmcConfig(thinning=0)
         with pytest.raises(DomainError):
             McmcConfig(chains=0)
+
+
+class TestPriorTable:
+    # the value a scalar's chains start at when its prior's support holds it
+    FAMILY_START = {"beta": 0.0, "kappa": 1.0, "xi": -0.1, "alpha": 0.3, "tau": 1.0}
+
+    @pytest.mark.parametrize("box", [
+        {}, {"beta_mean": 5.0, "kappa_shape": 3.0, "tau_rate": 9.0},
+        {"xi_low": -0.05}, {"xi_high": -0.2}, {"xi_low": -0.1}, {"xi_high": -0.1},
+        {"alpha_low": 0.35}, {"alpha_high": 0.2}, {"alpha_low": 0.3}, {"alpha_high": 0.3},
+        {"xi_low": -7.0, "xi_high": -3.0, "alpha_low": 2.0, "alpha_high": 9.0}])
+    def test_start_is_the_family_value_or_the_box_middle(self, box):
+        for name, law in prior_table(PriorSpec(**box)).items():
+            value = self.FAMILY_START[name.split("_")[0]]
+            assert law.lo < law.start < law.hi, name
+            assert law.start == (value if law.lo < value < law.hi else 0.5 * (law.lo + law.hi)), \
+                name
+
+    def test_initial_state_starts_each_scalar_at_its_law(self):
+        model = toy_model(priors=PriorSpec(xi_low=-0.05, alpha_high=0.2))
+        state = model.initialize_state()
+        assert {n: getattr(state, n) for n in SCALAR_NAMES} == \
+            {n: law.start for n, law in model.laws.items()}
+        assert (state.xi_y, state.alpha) == pytest.approx((-0.025, 0.15))
 
 
 class TestModelValidation:

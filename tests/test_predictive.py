@@ -178,12 +178,12 @@ def test_field_scores_against_the_true_map(seed):
     net = StationNetwork.from_coords([f"s{i}" for i in range(n_total)], coords, observed)
     truth = SyntheticTruth(tau_z=4.0, shift_y=2.0, shift_x=2.0)
     panel, tr = generate_synthetic(truth, net, n_times, seed=seed + 1000)
-    model = HierarchicalModel(panel.y, panel.x, net, shift_y=tr.shift_y, shift_x=tr.shift_x)
+    model = HierarchicalModel(panel.y, panel.x, net, shift_y=truth.shift_y, shift_x=truth.shift_x)
     draws = run_mcmc(model, McmcConfig(iterations=2000, burn_in=500, thinning=5,
                                        chains=2, seed=seed))
     # the oracle: the map under the true laws, at simulator-only stations
     # averaged over their endpoints' law, which is the map at shift + 1/lambda
-    delta_y = tr.shift_y + np.exp(-(tr.beta_y + tr.w[:, None] + tr.z[None, :]))
+    delta_y = truth.shift_y + np.exp(-(tr.beta_y + tr.w[:, None] + tr.z[None, :]))
     delta_y[net.observed_indices] = tr.delta_y
     oracle, _ = conditional_map(panel.x, tr.delta_x, tr.xi_x, tr.kappa_x,
                                 delta_y, tr.xi_y, tr.kappa_y)
